@@ -23,6 +23,8 @@ import json
 import os
 import platform
 import shutil
+import signal
+import statistics
 import subprocess
 import sys
 
@@ -34,6 +36,7 @@ BUILD_TYPE = "Release"
 
 sys.path.insert(0, BENCH_DIR)
 import serve_workload  # noqa: E402
+import spans  # noqa: E402
 
 # Threads and connections each workload asks of the host. The benchmark
 # refuses to run where any one of these exceeds nproc, because the figures
@@ -83,23 +86,58 @@ def load_spec():
         return json.load(f)
 
 
+# Span name -> per-layer metric prefix on the tune workloads.
+TUNE_LAYERS = (
+    ("graph.lower", "graph.lower_ms"),
+    ("pipeline.task_setup", "pipeline.task_setup_ms"),
+    ("session.task", "session.task_ms"),
+    ("tuner.begin", "tuner.begin_ms"),
+    ("core.init", "core.init_ms"),
+    ("acquire", "acquire.ms"),
+    ("surrogate.fit", "surrogate.fit_ms"),
+    ("tuner.observe", "tuner.observe_ms"),
+    ("tuner.finalize", "tuner.finalize_ms"),
+    ("measure.batch", "measure.batch_ms"),
+)
+
+
 def run_tune(ctx, workload, seed, seconds, trace, corrupt=False):
     args = [ctx["tune_bin"], "tune", "--workload", workload, "--seed",
-            str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
-            "--out-dir", ctx["out_dir"]]
+            str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+    span_path = os.path.join(ctx["out_dir"],
+                             "spans-%s-%d.json" % (workload, seed))
+    if trace:
+        args += ["--spans", span_path]
     if corrupt:
         args.append("--corrupt")
     proc = subprocess.run(args, check=True, stdout=subprocess.PIPE, text=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     values = dict(out["metrics"])
-    # A tune workload's job is its one tune_model call: no queue, so the
-    # user's wait is the tune time, and one job completes per call.
-    values["job_p50_s"] = values["tune_s"]
-    values["job_p90_s"] = values["tune_s.p90"]
-    values["jobs_per_s"] = 1.0 / values["tune_s"]
-    values["job.samples"] = values["tune_s.samples"]
+    calls = values.pop("call_s")
+    cpu = values.pop("call_cpu_s")
+    values["setup_s"] = statistics.median(values["setup_s"])
+    # The fastest call: a busy host slows some calls of a run more than
+    # others, and the fastest is the one it slowed least, so this follows
+    # the work a call does more closely than the median does.
+    values["tune_s"] = min(calls)
+    values["tune_cpu_s"] = statistics.median(cpu)
+    # The result line must carry every end-to-end metric on every workload.
+    # A tune workload's job is one tune_model call with no queue in front of
+    # it, so the job figures are statistics of the same call times.
+    values["job_p50_s"] = statistics.median(calls)
+    values["job_p90_s"] = spans.quantile(calls, 0.9)
+    values["jobs_per_s"] = len(calls) / sum(calls)
+    values["job.samples"] = len(calls)
     values["fail_frac"] = out["failed"] / out["attempted"]
     values["slo_miss_frac"] = values["fail_frac"]
+    if trace:
+        span_list = spans.load(span_path)
+        values.update(spans.layer_metrics(span_list, TUNE_LAYERS))
+        values["surrogate.fits"] = values["surrogate.fit_ms.count"]
+        values["trace.attributed_frac"] = spans.attributed_frac(
+            span_list, "tune_model", ("session.task",))
+        values["trace.overhead_frac"] = (
+            min(values.pop("traced_call_s")) / values["tune_s"] - 1.0)
     return values, out["attempted"], out["failed"], out["errors"]
 
 
@@ -136,6 +174,9 @@ def main(argv=None):
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # A SIGTERM unwinds like an error, so the daemon and harness processes
+    # this run started are stopped and reaped on the way out.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     if args.seed < 0 or args.seconds < 1:
         parser.error("--seed must be >= 0 and --seconds >= 1")
 
@@ -147,24 +188,33 @@ def main(argv=None):
             return 2
     spec = load_spec()
     ctx = build()
-    ctx.update(out_dir=OUT_DIR, bench_dir=BENCH_DIR)
+    ctx["out_dir"] = OUT_DIR
     os.makedirs(OUT_DIR, exist_ok=True)
 
+    # A gauge of host speed, taken before the workload: fixed work that uses
+    # no library code (see README.md, "Measured spread").
+    host_ref_ms = json.loads(subprocess.run(
+        [ctx["tune_bin"], "host-ref"], check=True, stdout=subprocess.PIPE,
+        text=True).stdout)["ref_ms"]
     values, attempted, failed, errors = run_workload(
         ctx, args.workload, args.seed, args.seconds, args.trace)
+    values["host.ref_ms"] = host_ref_ms
     correct = failed == 0 and not errors
     metrics = select_metrics(spec, values, args.trace)
 
-    print("# host=%s nproc=%d build=%s workload=%s seed=%d seconds=%d trace=%d"
-          % (platform.node(), nproc, BUILD_TYPE, args.workload, args.seed,
-             args.seconds, args.trace))
+    print("# host=%s nproc=%d build=%s host_ref_ms=%.3f workload=%s seed=%d "
+          "seconds=%d trace=%d"
+          % (platform.node(), nproc, BUILD_TYPE, host_ref_ms, args.workload,
+             args.seed, args.seconds, args.trace))
     print("# samples: %d jobs, fail_frac=%.4f (%d/%d), slo_miss_frac=%.4f" %
           (values.get("job.samples", 0), failed / max(attempted, 1), failed,
            attempted, values.get("slo_miss_frac", 0.0)))
     if args.workload == "serve-mixed":
-        print("# job class shares: " + ", ".join(
-            "%s=%.2f" % (c, values["serve.share_" + c])
-            for c in serve_workload.CLASSES))
+        print("# job class: share of jobs / share of tasks hitting the "
+              "store: " + ", ".join(
+                  "%s=%.2f/%.2f" % (c, values["serve.share_" + c],
+                                    values["serve.store_hit_frac." + c])
+                  for c in serve_workload.CLASSES))
     for name, m in metrics.items():
         print("# %-32s %16.6g %s" % (name, m["value"], m["unit"]))
     for e in errors:

@@ -10,9 +10,11 @@
    at least 90% of the traced tune_model call.
 2. The output checks must reject corrupted results: a tune run whose best
    GFLOPS was altered, and serve audits with a lost job, a duplicated job
-   and a truncated store tail.
+   and a truncated store tail. The 90% span-coverage check must reject a
+   span set whose task spans leave a gap no layer span covers.
 3. The serve schedule is a function of the seed alone and has the job-class
    shares BENCHMARK.json records, and the recorded SLO is the one applied.
+   Every fresh, transfer and native job has a model of its own.
 
 Exits 0 when every check passes.
 """
@@ -28,6 +30,7 @@ ROOT = os.path.dirname(BENCH_DIR)
 sys.path.insert(0, BENCH_DIR)
 import run  # noqa: E402
 import serve_workload  # noqa: E402
+import spans  # noqa: E402
 
 FAILURES = []
 
@@ -72,14 +75,14 @@ def short_mode(spec):
 
 def corrupted_results():
     ctx = run.build()
-    ctx.update(out_dir=run.OUT_DIR, bench_dir=BENCH_DIR)
+    ctx["out_dir"] = run.OUT_DIR
     os.makedirs(run.OUT_DIR, exist_ok=True)
     _, _, failed, errors = run.run_tune(ctx, "tune-bted-bao", 1, 1, 0,
                                         corrupt=True)
     expect(failed >= 1 and any("history maximum" in e for e in errors),
            "tune check rejects an altered best GFLOPS")
 
-    schedule = [(0.0, "fresh", {}), (1.0, "fresh", {})]
+    schedule = [(0.0, "fresh", {}, {}), (1.0, "fresh", {}, {})]
     jobs = [{"job": 1, "state": "done"}, {"job": 2, "state": "done"}]
     listed = [{"job": 1}, {"job": 2}]
     stats = {"submitted": 2, "done": 2, "store_records": 10}
@@ -107,24 +110,50 @@ def corrupted_results():
            "serve check rejects a store missing reported records")
 
 
+def span_coverage():
+    def span(name, sid, parent, start, end):
+        return {"name": name, "id": sid, "parent": parent, "task": 2,
+                "start_ms": start, "end_ms": end}
+    covered = [span("tune_model", 1, 0, 0.0, 100.0),
+               span("session.task", 2, 1, 0.0, 99.0),
+               span("core.init", 3, 2, 0.0, 60.0),
+               span("surrogate.fit", 4, 3, 10.0, 20.0),
+               span("acquire", 5, 2, 60.0, 98.0)]
+    frac = spans.attributed_frac(covered, "tune_model", ("session.task",))
+    expect(abs(frac - 0.98) < 1e-9, "span coverage counts layer spans")
+    expect(spans.self_times(covered)[3] == 50.0,
+           "self time subtracts child spans")
+    gap = covered[:4]  # no acquire span: 39 ms of the task is uncovered
+    frac = spans.attributed_frac(gap, "tune_model", ("session.task",))
+    expect(frac < 0.9, "span coverage check rejects an uncovered task gap")
+
+
 def schedule_properties(spec):
-    a = serve_workload.make_schedule(7, 30, BENCH_DIR)
-    expect(a == serve_workload.make_schedule(7, 30, BENCH_DIR),
+    model_dir = os.path.join(run.OUT_DIR, "serve-models")
+    a = serve_workload.make_schedule(7, 30, model_dir)
+    expect(a == serve_workload.make_schedule(7, 30, model_dir),
            "serve schedule repeats for a seed")
-    expect(a != serve_workload.make_schedule(8, 30, BENCH_DIR),
+    expect(a != serve_workload.make_schedule(8, 30, model_dir),
            "serve schedule changes with the seed")
     earlier_ok = True
     seen = []
-    for _, cls, s in a:
+    for _, cls, s, _ in a:
         if cls == "fresh":
             seen.append(s)
         elif cls == "repeat" and s not in seen:
             earlier_ok = False
     expect(earlier_ok, "every repeat copies an earlier fresh spec")
+    own = [shape for _, cls, _, shape in a if cls != "repeat"]
+    keys = [(m["h"], m["c"]) for m in own] + [m["u"] for m in own]
+    expect(len(set(keys)) == len(keys),
+           "fresh, transfer and native jobs share no model shape")
+    shapes = serve_workload.model_shapes(6 * len(serve_workload.MODEL_SIZES))
+    expect(len({(m["h"], m["c"]) for m in shapes}) == len(shapes),
+           "model shapes stay distinct for the longest run")
     why = next(w["why"] for w in spec["workloads"]
                if w["name"] == "serve-mixed")
     for cls in serve_workload.CLASSES:
-        share = sum(1 for _, c, _ in a if c == cls) / len(a)
+        share = sum(1 for _, c, _, _ in a if c == cls) / len(a)
         expect("%s %d%%" % (cls, round(100 * share)) in why,
                "BENCHMARK.json records the %s share" % cls)
     expect("SLO %g s" % serve_workload.SLO_S in why,
@@ -136,6 +165,7 @@ def schedule_properties(spec):
 def main():
     spec = run.load_spec()
     schedule_properties(spec)
+    span_coverage()
     corrupted_results()
     short_mode(spec)
     print("%d failure(s)" % len(FAILURES))

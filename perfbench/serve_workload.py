@@ -7,6 +7,12 @@ states with the protocol's `list` op on the same connection (one thread, one
 connection). Job latency runs from a job's scheduled send time to the poll
 that first sees it terminal, so a stalled daemon also delays the jobs queued
 behind it.
+
+Every job but a repeat tunes a small model generated for it (written to
+.bench_out/serve-models/ before set-up), so its task keys are new to the
+store; a repeat resends an earlier fresh spec and reads that job's records.
+The run reports each class's measured store-hit share beside its share of
+the jobs.
 """
 
 import json
@@ -18,6 +24,8 @@ import statistics
 import subprocess
 import time
 
+import spans
+
 # Daemon shape: workers + measure lanes, and the client's threads and
 # connections, must each fit within nproc (run.py checks before starting).
 WORKERS = 2
@@ -25,60 +33,112 @@ MEASURE_LANES = 1
 CLIENT_THREADS = 1
 CLIENT_CONNECTIONS = 1
 
-# Offered load: a fixed rate well below the daemon's capacity on a 4-core
-# host, so the queue does not grow. Job specs are small-budget bted+bao
-# tunes, so BTED initialisation dominates each job.
-RATE_PER_S = 1.5
+# Offered load: a fixed open-loop rate chosen from the daemon's measured
+# capacity on this mix (capacity.py; the figures are in README.md). Job
+# specs are small-budget bted+bao tunes, so BTED initialisation dominates
+# each job.
+RATE_PER_S = 2.0
 BUDGET = 16
 # A job misses its service-level objective when it fails, is refused, is
 # lost, or completes later than this after its scheduled send time.
-SLO_S = 5.0
+SLO_S = 2.0
 POLL_S = 0.01
 DRAIN_TIMEOUT_S = 60.0
-SETUP_REPS = 7
+SETUP_REPS = 15
 
 # One block of five jobs: two fresh specs, one exact repeat of an earlier
 # fresh spec, one transfer job and one native-template job on a non-GPU
 # target. Shares are therefore exact: 40/20/20/20 percent.
 BLOCK = ("fresh", "fresh", "repeat", "transfer", "native")
 CLASSES = ("fresh", "repeat", "transfer", "native")
-GPU_MODELS = ("alexnet", "models/lenet5.model", "models/tinyres.model")
 NATIVE_TARGETS = ("cpu-simd", "fpga-systolic")
+# A repeat copies a fresh spec due at least this long before it, so the
+# original has normally finished and flushed its records to the store.
+REPEAT_LAG_S = 4.0
 TERMINAL = ("done", "failed", "cancelled")
 
+# Generated model shapes. Every fresh, transfer and native job tunes its own
+# model, so its task keys are new to the store and its tasks miss it; only
+# repeats read the store. Sizes avoid the zoo models the store is seeded
+# with (power-of-two channels, 56 and 224 pixel inputs).
+MODEL_SIZES = tuple(h for h in range(36, 101, 2) if h != 56)
+MODEL_CHANNELS = (24, 40, 48, 72, 80, 88)
+MODEL_TEXT = """# Generated by perfbench/serve_workload.py for the serve-mixed workload.
+%%data = input(shape=[1,3,%(h)d,%(h)d])
+%%c1   = conv2d(%%data, channels=%(c)d, kernel=3, stride=2, pad=1)
+%%r1   = relu(%%c1)
+%%dw   = depthwise_conv2d(%%r1, kernel=3, stride=1, pad=1)
+%%r2   = relu(%%dw)
+%%pw   = conv2d(%%r2, channels=%(c2)d, kernel=1, stride=1, pad=0)
+%%r3   = relu(%%pw)
+%%c3   = conv2d(%%r3, channels=%(c2)d, kernel=3, stride=2, pad=1)
+%%r4   = relu(%%c3)
+%%gap  = global_avg_pool2d(%%r4)
+%%f    = flatten(%%gap)
+%%fc   = dense(%%f, units=%(u)d)
+%%out  = softmax(%%fc)
+"""
 
-def _model(name, bench_dir):
-    return name if "/" not in name else os.path.join(bench_dir, name)
+
+def model_shapes(count):
+    """`count` distinct model shapes, the same list for every seed.
+
+    Shape i has input size h, stem channels c and dense units u; no two
+    shapes share a task (every task depends on (h, c) or on u), so a run's
+    models never share a store key. Sizes step through MODEL_SIZES and
+    channels through MODEL_CHANNELS.
+    """
+    if count > len(MODEL_SIZES) * len(MODEL_CHANNELS):
+        raise ValueError("serve-mixed needs %d models; --seconds is too long"
+                         % count)
+    shapes = []
+    for i in range(count):
+        # Pass p = i // len(MODEL_SIZES) over the sizes shifts the channel
+        # index by p more than the previous pass did, so (h, c) repeats
+        # only after len(MODEL_CHANNELS) passes.
+        h = MODEL_SIZES[i % len(MODEL_SIZES)]
+        c = MODEL_CHANNELS[(i - i // len(MODEL_SIZES)) % len(MODEL_CHANNELS)]
+        shapes.append({"h": h, "c": c, "c2": 2 * c, "u": 11 + i})
+    return shapes
 
 
-def make_schedule(seed, seconds, bench_dir):
-    """Returns [(due_s, class, spec)] for one run, drawn only from `seed`.
+def write_models(schedule, model_dir):
+    """Writes the .model file every scheduled spec names."""
+    os.makedirs(model_dir, exist_ok=True)
+    for _, _, spec, shape in schedule:
+        with open(spec["model"], "w", encoding="utf-8") as f:
+            f.write(MODEL_TEXT % shape)
 
-    Model and target counts are balanced within each class, so seeds vary
-    the order, arrival jitter and tuner seeds but not the mix of work.
+
+def make_schedule(seed, seconds, model_dir, rate=RATE_PER_S):
+    """Returns [(due_s, class, spec, shape)] for one run, from `seed` alone.
+
+    Each class draws its models from a fixed slice of model_shapes(), so the
+    work in a run is the same for every seed; the seed draws the order of
+    classes within each block, the order of models within each class, the
+    arrival jitter, the originals the repeats copy and the tuner seeds.
     """
     rng = random.Random(seed * 7919 + 17)
-    n = max(len(BLOCK), int(round(RATE_PER_S * seconds)))
+    n = max(len(BLOCK), int(round(rate * seconds)))
     classes = []
     for _ in range(n // len(BLOCK)):
         block = list(BLOCK)
         rng.shuffle(block)
-        # A repeat must follow some fresh spec; within a block it can only
-        # repeat one already sent.
-        while block.index("repeat") < block.index("fresh"):
+        # A repeat must follow some fresh spec.
+        while not classes and block.index("repeat") < block.index("fresh"):
             rng.shuffle(block)
         classes.extend(block)
 
-    def balanced(options, count):
-        picks = [options[i % len(options)] for i in range(count)]
-        rng.shuffle(picks)
-        return picks
-
     count = {c: classes.count(c) for c in CLASSES}
-    models = {c: balanced(GPU_MODELS, count[c])
-              for c in ("fresh", "repeat", "transfer")}
-    natives = balanced([(m, t) for t in NATIVE_TARGETS for m in GPU_MODELS],
-                       count["native"])
+    shapes = model_shapes(count["fresh"] + count["transfer"] +
+                          count["native"])
+    pools, k = {}, 0
+    for cls in ("fresh", "transfer", "native"):
+        pool = [(shape, NATIVE_TARGETS[i % len(NATIVE_TARGETS)])
+                for i, shape in enumerate(shapes[k:k + count[cls]])]
+        k += count[cls]
+        rng.shuffle(pool)
+        pools[cls] = pool
     used_seeds = set()
 
     def fresh_seed():
@@ -89,29 +149,27 @@ def make_schedule(seed, seconds, bench_dir):
                 return s
 
     schedule = []
-    sent_fresh = []
-    period = 1.0 / RATE_PER_S
+    sent_fresh = []  # (due, spec, shape)
+    period = 1.0 / rate
     for i, cls in enumerate(classes):
         due = i * period + rng.uniform(0.0, 0.5 * period)
         if cls == "repeat":
-            # The latest earlier fresh spec of the drawn model, else the
-            # latest fresh spec of any model.
-            model = _model(models[cls].pop(), bench_dir)
-            same = [f for f in sent_fresh if f["model"] == model]
-            spec = dict((same or sent_fresh)[-1])
-        elif cls == "native":
-            model, target = natives.pop()
-            spec = {"model": _model(model, bench_dir), "budget": BUDGET,
-                    "seed": fresh_seed(), "target": target,
-                    "template": "native"}
+            settled = [f for f in sent_fresh if f[0] <= due - REPEAT_LAG_S]
+            _, spec, shape = rng.choice(settled or sent_fresh[:1])
+            spec = dict(spec)
         else:
-            spec = {"model": _model(models[cls].pop(), bench_dir),
+            shape, target = pools[cls].pop()
+            spec = {"model": os.path.join(
+                        model_dir, "m%dx%d-u%d.model" %
+                        (shape["h"], shape["c"], shape["u"])),
                     "budget": BUDGET, "seed": fresh_seed()}
             if cls == "transfer":
                 spec["transfer"] = True
+            elif cls == "native":
+                spec.update(target=target, template="native")
             else:
-                sent_fresh.append(spec)
-        schedule.append((due, cls, spec))
+                sent_fresh.append((due, spec, shape))
+        schedule.append((due, cls, spec, shape))
     return schedule
 
 
@@ -182,20 +240,11 @@ def _cpu_seconds(pid):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
-def _quantile(values, q):
-    if not values:
-        return 0.0
-    v = sorted(values)
-    pos = q * (len(v) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(v) - 1)
-    return v[lo] + (v[hi] - v[lo]) * (pos - lo)
-
-
 def _layer(metrics, name, durations_ms):
+    """Count, p50, p90 and summed time of a layer timed without child spans."""
     metrics[name + ".count"] = len(durations_ms)
-    metrics[name + ".p50"] = _quantile(durations_ms, 0.5)
-    metrics[name + ".p90"] = _quantile(durations_ms, 0.9)
+    metrics[name + ".p50"] = spans.quantile(durations_ms, 0.5)
+    metrics[name + ".p90"] = spans.quantile(durations_ms, 0.9)
     metrics[name + ".self"] = sum(durations_ms)
 
 
@@ -294,33 +343,54 @@ def check_serve(schedule, jobs, listed, rejected, stats_after, reopened,
     return errors
 
 
-def run(ctx, seed, seconds, trace):
-    """Runs serve-mixed; returns (values, attempted, failed, errors)."""
-    out_dir = ctx["out_dir"]
-    sock = os.path.relpath(os.path.join(out_dir, "serve.sock"))
-    store = os.path.join(out_dir, "serve-store")
-    log_path = os.path.join(out_dir, "serve-daemon.log")
-    schedule = make_schedule(seed, seconds, ctx["bench_dir"])
+def start_daemon(ctx, seed, log, reps=1):
+    """Set-up: seeds a fresh store and starts the daemon, up to the first
+    answered hello, `reps` times; the last daemon stays up.
 
-    with open(log_path, "w", encoding="utf-8") as log:
-        # Set-up, repeated: seed a fresh store, start the daemon, first
-        # answered hello. The last daemon stays up for the timed section.
-        setup_times, open_ms, daemon = [], [], None
+    Returns (daemon, set-up times in s, store open times in ms, records).
+    """
+    store = os.path.join(ctx["out_dir"], "serve-store")
+    sock = os.path.relpath(os.path.join(ctx["out_dir"], "serve.sock"))
+    setup_times, open_ms, daemon = [], [], None
+    try:
+        for _ in range(reps):
+            if daemon is not None:
+                daemon.shutdown()
+                daemon = None
+            t0 = time.monotonic()
+            shutil.rmtree(store, ignore_errors=True)
+            seeded = _json_cmd([ctx["tune_bin"], "seed-store", "--dir",
+                                store, "--seed", str(seed)])
+            daemon = Daemon(ctx["serve_bin"], sock, store, log)
+            setup_times.append(time.monotonic() - t0)
+            open_ms.append(seeded["open_ms"])
+    except BaseException:
+        if daemon is not None:
+            daemon.stop()
+        raise
+    return daemon, setup_times, open_ms, seeded["records"]
+
+
+def run(ctx, seed, seconds, trace, rate=RATE_PER_S, inflight=0):
+    """Runs serve-mixed; returns (values, attempted, failed, errors).
+
+    With `inflight` > 0 the client runs closed-loop instead: it ignores the
+    schedule's due times and keeps that many jobs queued or running, which
+    measures the daemon's capacity on the same mix (capacity.py).
+    """
+    out_dir = ctx["out_dir"]
+    store = os.path.join(out_dir, "serve-store")
+    schedule = make_schedule(seed, seconds,
+                             os.path.join(out_dir, "serve-models"), rate)
+    write_models(schedule, os.path.join(out_dir, "serve-models"))
+
+    with open(os.path.join(out_dir, "serve-daemon.log"), "w",
+              encoding="utf-8") as log:
+        daemon, setup_times, open_ms, records_before = start_daemon(
+            ctx, seed, log, SETUP_REPS)
         try:
-            for _ in range(SETUP_REPS):
-                if daemon is not None:
-                    daemon.shutdown()
-                    daemon = None
-                t0 = time.monotonic()
-                shutil.rmtree(store, ignore_errors=True)
-                seeded = _json_cmd([ctx["tune_bin"], "seed-store", "--dir",
-                                    store, "--seed", str(seed)])
-                daemon = Daemon(ctx["serve_bin"], sock, store, log)
-                setup_times.append(time.monotonic() - t0)
-                open_ms.append(seeded["open_ms"])
-            records_before = seeded["records"]
             cpu0 = _cpu_seconds(daemon.proc.pid)
-            result = _drive(daemon, schedule, trace)
+            result = _drive(daemon, schedule, inflight)
             result["cpu_s"] = _cpu_seconds(daemon.proc.pid) - cpu0
             result["peak_rss_mb"] = _peak_rss_mb(daemon.proc.pid)
             code = daemon.shutdown()
@@ -331,11 +401,12 @@ def run(ctx, seed, seconds, trace):
             if daemon is not None:
                 daemon.stop()
 
-    # Delivered quality: each GPU model the run tuned, deployed with the
-    # store's best record per task, whichever job (or seeding run) measured
-    # it. Per job bests would depend on which jobs happened to flush first.
-    deployed = sorted({(spec["model"], "gpu-pascal", "")
-                       for _, cls, spec in schedule if cls != "native"})
+    # Delivered quality: every model the run tuned, deployed on its target
+    # with the store's best record per task, whichever job measured it. The
+    # set of models is the same for every seed (make_schedule).
+    deployed = sorted({(spec["model"], spec.get("target", "gpu-pascal"),
+                        spec.get("template", ""))
+                       for _, _, spec, _ in schedule})
     args = [ctx["tune_bin"], "reopen-store", "--dir", store]
     for d in deployed:
         args += ["--deploy", "%s|%s|%s" % d]
@@ -360,19 +431,18 @@ def run(ctx, seed, seconds, trace):
         "tune_cpu_s": result["cpu_s"] / max(len(done), 1),
         "model_latency_ms": reopened["latency_ms"],
         "best_gflops_geomean": reopened["gflops_geomean"],
-        "job_p50_s": _quantile(waits, 0.5),
-        "job_p90_s": _quantile(waits, 0.9),
+        "job_p50_s": spans.quantile(waits, 0.5),
+        "job_p90_s": spans.quantile(waits, 0.9),
         "jobs_per_s": len(done) / max(last_end - first_due, 1e-9),
         "peak_rss_mb": result["peak_rss_mb"],
         "slo_miss_frac": missed / len(schedule),
         "fail_frac": failed / len(schedule),
         "serve.jobs": len(schedule),
+        "serve.queue_high_water": result["high_water"],
         "job.samples": len(waits),
     }
-    for cls in CLASSES:
-        values["serve.share_" + cls] = (
-            sum(1 for c in (j["class"] for j in jobs) if c == cls) / len(jobs))
-    values["serve.send_lateness_ms.p90"] = _quantile(
+    values.update(class_shares(jobs, result["streams"]))
+    values["serve.send_lateness_ms.p90"] = spans.quantile(
         [1e3 * j["late"] for j in jobs], 0.9)
     if trace:
         values.update(_trace_metrics(result, jobs, open_ms, reopened))
@@ -381,8 +451,30 @@ def run(ctx, seed, seconds, trace):
     return values, len(schedule), failed + len(errors), errors
 
 
-def _drive(daemon, schedule, trace):
-    """The timed section: open-loop submits plus polling until drained."""
+def class_shares(jobs, streams):
+    """Each job class's share of the jobs sent (the label), and the share of
+    its tasks that read records from the store (measured from the streamed
+    store_hit events: one per task whose preload found records)."""
+    out = {}
+    for cls in CLASSES:
+        mine = [j for j in jobs if j["class"] == cls]
+        out["serve.share_" + cls] = len(mine) / len(jobs)
+        tasks = hits = 0
+        for j in mine:
+            events = streams.get(j.get("job"), ())
+            tasks += sum(1 for e in events if e["type"] == "session_begin")
+            hits += sum(1 for e in events if e["type"] == "store_hit")
+        out["serve.store_hit_frac." + cls] = hits / tasks if tasks else 0.0
+    return out
+
+
+def _drive(daemon, schedule, inflight=0):
+    """The timed section: submits plus polling until drained.
+
+    Open loop (inflight == 0): each job is sent at its due time. Closed
+    loop: the next job is sent as soon as fewer than `inflight` are pending,
+    and its due time is its send time.
+    """
     client = daemon.client
     stats_before = client.call("stats")
     jobs, by_id = [], {}
@@ -393,10 +485,13 @@ def _drive(daemon, schedule, trace):
     deadline = None
     while nxt < len(schedule) or pending > 0:
         now = time.monotonic() - t0
-        if nxt < len(schedule) and now >= schedule[nxt][0]:
-            due, cls, spec = schedule[nxt]
+        if nxt < len(schedule) and (
+                pending < inflight if inflight else now >= schedule[nxt][0]):
+            due, cls, spec, _ = schedule[nxt]
             nxt += 1
             sent = time.monotonic() - t0
+            if inflight:
+                due = sent
             resp = client.call("submit", **spec)
             acked = time.monotonic() - t0
             job = {"due": due, "class": cls, "late": sent - due,
@@ -436,23 +531,23 @@ def _drive(daemon, schedule, trace):
             if deadline is not None and now > deadline:
                 break  # remaining jobs count as lost
         wake = next_poll
-        if nxt < len(schedule):
+        if nxt < len(schedule) and not inflight:
             wake = min(wake, schedule[nxt][0])
         delay = wake - (time.monotonic() - t0)
         if delay > 0:
             time.sleep(delay)
 
+    # After the timed section: the final listing, every job's streamed
+    # trace and the daemon's counters.
     listed = [f for f in client.frames("list") if f.get("frame") == "job"]
-    result = {"jobs": jobs, "listed": listed, "rejected": rejected,
-              "high_water": high_water, "stats_before": stats_before}
-    if trace:
-        result["streams"] = {
-            j["job"]: [json.loads(f["line"]) for f in
-                       client.frames("stream", job=j["job"], **{"from": 0})
-                       if f.get("frame") == "trace"]
-            for j in jobs if j.get("job") is not None}
-    result["stats"] = client.call("stats")
-    return result
+    streams = {
+        j["job"]: [json.loads(f["line"]) for f in
+                   client.frames("stream", job=j["job"], **{"from": 0})
+                   if f.get("frame") == "trace"]
+        for j in jobs if j.get("job") is not None}
+    return {"jobs": jobs, "listed": listed, "rejected": rejected,
+            "high_water": high_water, "stats_before": stats_before,
+            "streams": streams, "stats": client.call("stats")}
 
 
 def _trace_metrics(result, jobs, open_ms, reopened):
@@ -486,7 +581,6 @@ def _trace_metrics(result, jobs, open_ms, reopened):
         "transfer.activations": activations,
         "transfer.skipped": transfer_tasks - activations,
         "space.pruned_frac": pruned / checked if checked else 0.0,
-        "serve.queue_high_water": result["high_water"],
         "serve.rejected": stats["rejected"],
         "obs.trace_events": len(events),
     })

@@ -1,22 +1,25 @@
 // perfbench_tune: the in-process half of the end-to-end benchmark.
 //
 //   perfbench_tune tune --workload tune-bted-bao --seed 1 --seconds 25
-//                       --trace 0 [--out-dir DIR] [--corrupt]
+//                       --trace 0 [--spans FILE] [--corrupt]
 //   perfbench_tune seed-store --dir DIR --seed 1
 //   perfbench_tune reopen-store --dir DIR [--deploy MODEL|TARGET|TEMPLATE]...
+//   perfbench_tune host-ref
 //
 // `tune` runs one tune workload through the public tune_model API, checks
 // its outputs and prints one JSON object on stdout. Untraced (--trace 0) it
 // makes about --seconds worth of tune_model calls, each with a seed derived
-// from --seed, and reports medians of their times and geometric means of
-// their quality; traced (--trace 1) it pairs each untraced call with a
-// traced one, requires their results to be identical, and reports the
-// per-layer span and counter breakdown of the last traced call. --corrupt
+// from --seed, and reports every call's wall and CPU time and the geometric
+// means of their quality (run.py takes the statistics); traced (--trace 1)
+// it pairs each untraced call with a traced one, requires their results to
+// be identical, writes the last traced call's spans to --spans and reports
+// its registry counters. --corrupt
 // alters one best result before the checks run (the self-test uses it to
 // show the checks fire).
 //
 // `seed-store` and `reopen-store` set up and audit the record store the
-// serve workload's daemon shares (driven by run.py).
+// serve workload's daemon shares (driven by run.py). `host-ref` times a
+// fixed piece of work that uses no library code, as a gauge of host speed.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -43,8 +46,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-double median(std::vector<double> v) { return perfbench::quantile(v, 0.5); }
-
 double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -68,6 +69,15 @@ class JsonObject {
   }
   void str(const std::string& key, const std::string& value) {
     add(key, "\"" + aal::json_escape(value) + "\"");
+  }
+  void nums(const std::string& key, const std::vector<double>& values) {
+    std::string json = "[";
+    char buf[64];
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), "%s%.17g", i > 0 ? "," : "", values[i]);
+      json += buf;
+    }
+    add(key, json + "]");
   }
   void raw(const std::string& key, const std::string& json) { add(key, json); }
   std::string dump() const { return "{" + body_ + "}"; }
@@ -284,34 +294,6 @@ double ratio(std::int64_t num, std::int64_t den) {
   return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
-// Span name → metric prefix, in the issue's naming.
-constexpr std::pair<const char*, const char*> kLayerSpans[] = {
-    {"graph.lower", "graph.lower_ms"},
-    {"pipeline.task_setup", "pipeline.task_setup_ms"},
-    {"session.task", "session.task_ms"},
-    {"tuner.begin", "tuner.begin_ms"},
-    {"core.init", "core.init_ms"},
-    {"acquire", "acquire.ms"},
-    {"surrogate.fit", "surrogate.fit_ms"},
-    {"tuner.observe", "tuner.observe_ms"},
-    {"tuner.finalize", "tuner.finalize_ms"},
-    {"measure.batch", "measure.batch_ms"},
-};
-
-void emit_layers(const std::vector<perfbench::Span>& spans, JsonObject& out) {
-  const auto stats = perfbench::layer_stats(spans);
-  for (const auto& [span, metric] : kLayerSpans) {
-    const auto it = stats.find(span);
-    const perfbench::LayerStats st =
-        it == stats.end() ? perfbench::LayerStats{} : it->second;
-    const std::string m = metric;
-    out.integer(m + ".count", st.count);
-    out.num(m + ".p50", st.p50_ms);
-    out.num(m + ".p90", st.p90_ms);
-    out.num(m + ".self", st.self_ms);
-  }
-}
-
 double cpu_seconds() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -331,22 +313,27 @@ int cmd_tune(const Args& args) {
   const aal::TunerFactory factory = aal::tuner_factory_by_name(w.tuner);
 
   // Set-up: zoo graph build, fusion and task extraction, repeated so the
-  // reported figure is a median.
-  constexpr int kSetupReps = 101;
+  // reported figure is a median. One set-up takes about 0.1 ms, and a
+  // process can sit for a while on a vCPU whose host core is busy and run
+  // half again as slow there, so the repetitions are spread over the run:
+  // a batch of about 0.1 s before every tune_model call.
+  constexpr int kSetupBatchReps = 1000;
   perfbench::SpanRecorder setup_spans;
   std::vector<double> setup_times;
-  aal::Graph graph = aal::make_model(w.model);
   std::size_t num_tasks = 0;
-  for (int i = 0; i < kSetupReps; ++i) {
-    const double start = setup_spans.now_ms();
-    const auto t0 = Clock::now();
-    graph = aal::make_model(w.model);
-    const aal::FusedGraph fused = aal::fuse(graph);
-    num_tasks = aal::extract_tasks(fused).size();
-    setup_times.push_back(seconds_since(t0));
-    setup_spans.record(perfbench::Span{"graph.lower", setup_spans.new_id(), 0,
-                                       0, start, setup_spans.now_ms()});
-  }
+  const auto set_up = [&] {
+    for (int i = 0; i < kSetupBatchReps; ++i) {
+      const double start = setup_spans.now_ms();
+      const auto t0 = Clock::now();
+      const aal::Graph g = aal::make_model(w.model);
+      const aal::FusedGraph fused = aal::fuse(g);
+      num_tasks = aal::extract_tasks(fused).size();
+      setup_times.push_back(seconds_since(t0));
+      setup_spans.record(perfbench::Span{"graph.lower", setup_spans.new_id(),
+                                         0, 0, start, setup_spans.now_ms()});
+    }
+  };
+  const aal::Graph graph = aal::make_model(w.model);
 
   // The run makes a fixed number of tune_model calls, set by --seconds and
   // the workload's nominal call time, each with its own seed derived from
@@ -389,6 +376,7 @@ int cmd_tune(const Args& args) {
     }
   };
   const auto run_untraced = [&](std::uint64_t call_seed) {
+    set_up();
     const aal::ModelTuneOptions options = tune_options(w, call_seed);
     const double cpu0 = cpu_seconds();
     const auto t0 = Clock::now();
@@ -441,36 +429,20 @@ int cmd_tune(const Args& args) {
       }
     }
 
-    // Share of the root span's time that some layer span accounts for.
-    const auto self = perfbench::self_times(spans);
-    double root_ms = 0.0;
-    double root_self = 0.0;
-    for (const perfbench::Span& s : spans) {
-      if (s.name == "tune_model") {
-        root_ms = s.duration_ms();
-        root_self = self.at(s.id);
-      }
-    }
     // Set-up spans come from another recorder: negate their ids so they
-    // cannot collide with the traced call's.
+    // cannot collide with the traced call's. run.py reads the span file for
+    // the per-layer times.
     std::vector<perfbench::Span> all = spans;
     for (perfbench::Span s : setup_spans.spans()) {
       s.id = -s.id;
       all.push_back(s);
     }
-    emit_layers(all, metrics);
-    if (args.has("out-dir")) {
-      perfbench::write_spans_json(all, args.get("out-dir") + "/spans-" +
-                                           w.name + "-" +
-                                           std::to_string(seed) + ".json");
-    }
+    perfbench::write_spans_json(all, args.get("spans"));
     metrics.integer("graph.tasks", static_cast<std::int64_t>(num_tasks));
     metrics.num("space.pruned_frac",
                 ratio(counters["space.constraint_pruned"],
                       counters["space.constraint_checked"]));
     metrics.integer("bted.initial_proposed", counters["bted.initial_proposed"]);
-    metrics.integer("surrogate.fits",
-                    perfbench::layer_stats(spans)["surrogate.fit"].count);
     metrics.num("surrogate.batch_hit_frac",
                 ratio(counters["surrogate.batch_hits"],
                       counters["surrogate.batch_hits"] +
@@ -493,19 +465,13 @@ int cmd_tune(const Args& args) {
     metrics.integer("transfer.activations", counters["transfer.activations"]);
     metrics.integer("transfer.skipped", counters["transfer.skipped"]);
     metrics.integer("obs.trace_events", trace_events);
-    metrics.num("trace.overhead_frac",
-                median(traced_times) / median(wall_times) - 1.0);
-    metrics.num("trace.attributed_frac",
-                root_ms > 0.0 ? 1.0 - root_self / root_ms : 0.0);
+    metrics.nums("traced_call_s", traced_times);
   }
 
   // End-to-end figures, from the untraced calls only.
-  metrics.num("setup_s", median(setup_times));
-  metrics.num("tune_s", median(wall_times));
-  metrics.num("tune_s.p90", perfbench::quantile(wall_times, 0.9));
-  metrics.integer("tune_s.samples",
-                  static_cast<std::int64_t>(wall_times.size()));
-  metrics.num("tune_cpu_s", median(cpu_times));
+  metrics.nums("setup_s", setup_times);
+  metrics.nums("call_s", wall_times);
+  metrics.nums("call_cpu_s", cpu_times);
   metrics.num("model_latency_ms",
               std::exp(log_latency / static_cast<double>(wall_times.size())));
   metrics.num("best_gflops_geomean",
@@ -610,6 +576,49 @@ int cmd_reopen_store(const Args& args) {
   return 0;
 }
 
+// --- Host reference ----------------------------------------------------------
+
+// Times a fixed piece of single-threaded work that uses no library code: a
+// sort of pseudo-random doubles followed by a small dense matrix product.
+// Only the host's speed moves it, so it shows when a change in the other
+// figures came from a faster or slower host rather than from the program.
+// Prints the fastest of several repetitions in ms.
+int cmd_host_ref() {
+  constexpr int kReps = 7;
+  constexpr std::size_t kValues = 1 << 17;
+  constexpr std::size_t kDim = 96;
+  double best_ms = 0.0;
+  double checksum = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = Clock::now();
+    std::vector<double> values(kValues);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (double& v : values) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      v = static_cast<double>(x >> 11);
+    }
+    std::sort(values.begin(), values.end());
+    std::vector<double> a(kDim * kDim), c(kDim * kDim, 0.0);
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = values[i * 7] * 1e-18;
+    for (std::size_t i = 0; i < kDim; ++i) {
+      for (std::size_t k = 0; k < kDim; ++k) {
+        const double aik = a[i * kDim + k];
+        for (std::size_t j = 0; j < kDim; ++j) {
+          c[i * kDim + j] += aik * a[k * kDim + j];
+        }
+      }
+    }
+    checksum += c[kDim + 1] + values[kValues / 2];
+    const double ms = 1e3 * seconds_since(t0);
+    if (rep == 0 || ms < best_ms) best_ms = ms;
+  }
+  JsonObject out;
+  out.num("ref_ms", best_ms);
+  out.num("checksum", checksum);  // keeps the work observable
+  std::printf("%s\n", out.dump().c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -623,6 +632,7 @@ int main(int argc, char** argv) {
     if (cmd == "tune") return cmd_tune(args);
     if (cmd == "seed-store") return cmd_seed_store(args);
     if (cmd == "reopen-store") return cmd_reopen_store(args);
+    if (cmd == "host-ref") return cmd_host_ref();
     throw std::invalid_argument("unknown command '" + cmd + "'");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench_tune: %s\n", e.what());

@@ -1,7 +1,5 @@
 #include "spans.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -178,16 +176,6 @@ class TracingBackend final : public aal::MeasureBackend {
 
 }  // namespace
 
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 double SpanRecorder::now_ms() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - epoch_)
@@ -202,56 +190,6 @@ void SpanRecorder::record(Span span) {
 std::vector<Span> SpanRecorder::spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return spans_;
-}
-
-std::map<std::int64_t, double> self_times(const std::vector<Span>& spans) {
-  std::map<std::int64_t, std::vector<std::pair<double, double>>> children;
-  for (const Span& s : spans) {
-    if (s.parent != 0) children[s.parent].emplace_back(s.start_ms, s.end_ms);
-  }
-  std::map<std::int64_t, double> out;
-  for (const Span& s : spans) {
-    double covered = 0.0;
-    auto it = children.find(s.id);
-    if (it != children.end()) {
-      std::vector<std::pair<double, double>> iv = it->second;
-      std::sort(iv.begin(), iv.end());
-      double cur_lo = 0.0;
-      double cur_hi = -1.0;
-      for (auto [lo, hi] : iv) {
-        lo = std::max(lo, s.start_ms);
-        hi = std::min(hi, s.end_ms);
-        if (hi <= lo) continue;
-        if (lo > cur_hi) {
-          if (cur_hi > cur_lo) covered += cur_hi - cur_lo;
-          cur_lo = lo;
-          cur_hi = hi;
-        } else {
-          cur_hi = std::max(cur_hi, hi);
-        }
-      }
-      if (cur_hi > cur_lo) covered += cur_hi - cur_lo;
-    }
-    out[s.id] = std::max(0.0, s.duration_ms() - covered);
-  }
-  return out;
-}
-
-std::map<std::string, LayerStats> layer_stats(const std::vector<Span>& spans) {
-  const std::map<std::int64_t, double> self = self_times(spans);
-  std::map<std::string, std::vector<double>> durations;
-  std::map<std::string, LayerStats> out;
-  for (const Span& s : spans) {
-    durations[s.name].push_back(s.duration_ms());
-    out[s.name].self_ms += self.at(s.id);
-  }
-  for (const auto& [name, d] : durations) {
-    LayerStats& st = out[name];
-    st.count = static_cast<std::int64_t>(d.size());
-    st.p50_ms = quantile(d, 0.5);
-    st.p90_ms = quantile(d, 0.9);
-  }
-  return out;
 }
 
 void write_spans_json(const std::vector<Span>& spans, const std::string& path) {

@@ -5,17 +5,14 @@
 // models from, and the measurement backend — in decorators that time each
 // call and forward it unchanged. Spans are kept in memory and written out
 // when the run ends; nothing here reaches the library's deterministic trace.
-//
-// A span's self time is its duration minus the part of its interval covered
-// by its children (children may run concurrently on pool threads, so the
-// covered part is the union of their intervals, clipped to the parent).
+// Self times and per-layer statistics are computed from the written spans
+// by perfbench/spans.py.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,24 +53,6 @@ class SpanRecorder {
   mutable std::mutex mutex_;
   std::vector<Span> spans_;  // guarded by mutex_
 };
-
-/// Per-name aggregate over a span set: count, duration quantiles and the
-/// summed self time.
-struct LayerStats {
-  std::int64_t count = 0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double self_ms = 0.0;
-};
-
-/// Linear-interpolated quantile q in [0, 1] (0 for an empty set).
-double quantile(std::vector<double> values, double q);
-
-/// Self time of every span, keyed by span id.
-std::map<std::int64_t, double> self_times(const std::vector<Span>& spans);
-
-/// Aggregates `spans` by name.
-std::map<std::string, LayerStats> layer_stats(const std::vector<Span>& spans);
 
 /// Writes spans as one JSON array (name, id, parent, task, start/end ms).
 void write_spans_json(const std::vector<Span>& spans, const std::string& path);
