@@ -133,13 +133,14 @@ void BM_SaMaximize(benchmark::State& state) {
 }
 BENCHMARK(BM_SaMaximize)->Unit(benchmark::kMillisecond);
 
+/// BAO's candidate scope C_t under its default (feature-space) metric.
 void BM_Neighborhood(benchmark::State& state) {
   const TuningTask& task = mobilenet_t1();
   Rng rng(7);
   const Config center = task.space().sample(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        task.space().neighborhood(center, 3.0, 512, rng));
+        task.space().feature_neighborhood(center, 3.0, 512, rng));
   }
 }
 BENCHMARK(BM_Neighborhood);

@@ -1,6 +1,7 @@
 // Kernel-layer benchmark harness: baseline-vs-optimized wall-clock for the
 // dense primitives (support/dense.hpp) and the tuner stages rebuilt on top
-// of them (TED selection, bootstrap rounds, BTED initialization).
+// of them (TED selection, bootstrap rounds, BTED initialization, BAO's
+// feature-space neighbourhood).
 //
 // Unlike bench/micro_components.cpp (google-benchmark, human-readable),
 // this harness emits machine-readable JSON ("aaltune-bench/v1", see
@@ -25,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/bootstrap.hpp"
@@ -213,6 +215,61 @@ std::vector<std::size_t> ted_select_scalar(
     }
   }
   return selected;
+}
+
+/// ConfigSpace::feature_neighborhood as it was before the per-knob distance
+/// kernel: per attempt, copy the centre's choices, mutate 1-3 knobs,
+/// make(), probe an unordered_set and re-featurize the whole candidate.
+std::vector<Config> feature_neighborhood_loop(const ConfigSpace& space,
+                                              const Config& center,
+                                              double radius,
+                                              std::size_t max_points,
+                                              Rng& rng) {
+  std::vector<Config> out;
+  if (max_points == 0) return out;
+
+  const std::vector<double> center_feats = space.features(center);
+  const double r2 = radius * radius;
+  std::unordered_set<std::int64_t> seen{center.flat};
+  const std::size_t max_attempts = max_points * 60 + 400;
+  std::vector<double> feats;
+  feats.reserve(static_cast<std::size_t>(space.feature_dim()));
+
+  for (std::size_t attempt = 0;
+       attempt < max_attempts && out.size() < max_points; ++attempt) {
+    std::vector<std::int32_t> choices = center.choices;
+    const auto mutations = 1 + rng.next_index(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const auto k =
+          static_cast<std::size_t>(rng.next_index(space.num_knobs()));
+      choices[k] = static_cast<std::int32_t>(rng.next_index(
+          static_cast<std::uint64_t>(space.knob(k).size())));
+    }
+    Config candidate = space.make(std::move(choices));
+    if (seen.contains(candidate.flat)) continue;
+
+    feats.clear();
+    for (std::size_t i = 0; i < space.num_knobs(); ++i) {
+      space.knob(i).append_features(candidate.choices[i], feats);
+    }
+    double acc = 0.0;
+    for (std::size_t i = 0; i < feats.size() && acc <= r2; ++i) {
+      const double d = feats[i] - center_feats[i];
+      acc += d * d;
+    }
+    if (acc > r2) continue;
+    seen.insert(candidate.flat);
+    if (space.num_constraints() > 0 && !space.feasible(candidate)) continue;
+    out.push_back(std::move(candidate));
+  }
+
+  if (out.empty() && space.size() >= 2) {
+    for (int i = 0; i < 64 && out.empty(); ++i) {
+      Config c = space.sample(rng);
+      if (c.flat != center.flat) out.push_back(std::move(c));
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +489,62 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
         for (std::size_t i = 0; i < batch.rows; ++i) {
           acc += model.predict(
               std::span<const double>{batch.row(i), batch.cols});
+        }
+        sink(acc);
+      });
+      out.push_back(std::move(e));
+    }
+  }
+
+  {  // BAO's feature-space neighbourhood C_t over every mobilenet_v1 task:
+     // the per-knob distance kernel vs the pre-kernel rejection loop. The
+     // two must agree point for point, so the harness checks that first.
+    std::vector<TuningTask> tasks;
+    for (const auto& t : extract_tasks(fuse(make_mobilenet_v1()))) {
+      tasks.emplace_back(t.workload, make_target(target));
+      if (smoke && tasks.size() == 4) break;
+    }
+    std::vector<std::pair<const ConfigSpace*, Config>> centres;
+    Rng rng(61);
+    for (const TuningTask& t : tasks) {
+      for (int i = 0; i < 2; ++i) {
+        centres.emplace_back(&t.space(), t.space().sample(rng));
+      }
+    }
+    const std::size_t cap = 512;
+    for (const double radius : {3.0, 4.5}) {
+      for (const auto& [space, center] : centres) {
+        Rng a(71), b(71);
+        const auto got = space->feature_neighborhood(center, radius, cap, a);
+        const auto want =
+            feature_neighborhood_loop(*space, center, radius, cap, b);
+        AAL_CHECK(got.size() == want.size() && a() == b(),
+                  "feature_neighborhood diverged from the rejection loop");
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          AAL_CHECK(got[i].flat == want[i].flat,
+                    "feature_neighborhood diverged from the rejection loop");
+        }
+      }
+      BenchEntry e{"bao_feature_neighborhood",
+                   {{"radius_x10", std::lround(radius * 10)},
+                    {"cap", static_cast<long long>(cap)},
+                    {"calls", static_cast<long long>(centres.size())}}};
+      e.median_ms = time_median_ms(repeats, 1, [&] {
+        Rng r(71);
+        double acc = 0.0;
+        for (const auto& [space, center] : centres) {
+          acc += static_cast<double>(
+              space->feature_neighborhood(center, radius, cap, r).size());
+        }
+        sink(acc);
+      });
+      e.baseline_median_ms = time_median_ms(repeats, 1, [&] {
+        Rng r(71);
+        double acc = 0.0;
+        for (const auto& [space, center] : centres) {
+          acc += static_cast<double>(
+              feature_neighborhood_loop(*space, center, radius, cap, r)
+                  .size());
         }
         sink(acc);
       });

@@ -2,7 +2,8 @@
 //
 // Iterative stage of the advanced active-learning framework. Each step:
 //   1. the search scope C_t is the radius-R neighborhood (Euclidean in
-//      knob-choice space) of the previously selected configuration;
+//      feature space by default, see BaoMetric) of the previously selected
+//      configuration;
 //   2. if the relative improvement r_t (Equation (1)) of the last two steps
 //      fell below eta, the radius is enlarged to tau*R for this step;
 //   3. BS (Algorithm 3) fits Gamma bootstrap surrogates on everything
@@ -46,8 +47,12 @@ struct BaoParams {
   BaoMetric metric = BaoMetric::kFeature;
   int gamma = 2;        // bootstrap resamples per step
 
-  /// Max candidates materialized from each neighborhood; the exact ball is
-  /// subsampled only above this (the ball at R=3 is usually smaller).
+  /// Max candidates materialized from each neighborhood. Under the default
+  /// kFeature metric C_t is not the exact ball: it is rejection-sampled
+  /// from 1-3-knob mutations of the centre (max_points * 60 + 400
+  /// attempts), so a ball smaller than the cap comes back as the members
+  /// those attempts hit. Under kChoice small balls are enumerated exactly
+  /// and subsampled only above the cap.
   std::size_t neighborhood_cap = 512;
   /// Apply Equation (1) with the printed ceil (default) or as a raw ratio.
   bool literal_ceil = true;

@@ -1,31 +1,15 @@
 #include "hwsim/target.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "support/common.hpp"
+#include "support/string_util.hpp"
 
 namespace aal {
 
 namespace {
-
-/// Levenshtein distance for the did-you-mean suggestion; the registry is
-/// tiny, so the quadratic table is irrelevant.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
 
 struct RegistryEntry {
   const char* name;
@@ -212,25 +196,12 @@ TargetSpec make_target(const std::string& name) {
     if (name == e.name) return e.make();
   }
   // Unknown: build the did-you-mean error from the closest registry name.
-  const RegistryEntry* closest = &kRegistry[0];
-  std::size_t best = edit_distance(name, kRegistry[0].name);
-  for (const RegistryEntry& e : kRegistry) {
-    const std::size_t d = edit_distance(name, e.name);
-    if (d < best) {
-      best = d;
-      closest = &e;
-    }
-  }
-  std::string valid;
-  for (const RegistryEntry& e : kRegistry) {
-    if (!valid.empty()) valid += ", ";
-    valid += e.name;
-  }
+  const std::vector<std::string>& names = target_names();
   std::string message = "unknown target '" + name + "'";
-  if (best <= name.size() / 2 + 1) {
-    message += " (did you mean '" + std::string(closest->name) + "'?)";
+  if (const auto closest = closest_match(name, names)) {
+    message += " (did you mean '" + *closest + "'?)";
   }
-  message += "; valid targets: " + valid;
+  message += "; valid targets: " + join(names, ", ");
   throw InvalidArgument(message);
 }
 

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -31,6 +32,23 @@ sockaddr_un make_address(const std::string& path) {
                                      << "): " << path);
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
+}
+
+/// Probes `path` before the daemon binds it. A socket that accepts a
+/// connection (or whose backlog is full) belongs to a live daemon: throw
+/// rather than steal it. A socket that refuses is stale and is removed.
+/// Anything else at the path is left alone for bind() to report.
+void remove_stale_socket(const std::string& path, const sockaddr_un& addr) {
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) != 0 || !S_ISSOCK(st.st_mode)) return;
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  AAL_CHECK(probe >= 0, "socket() failed: " << std::strerror(errno));
+  const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr));
+  const int err = errno;
+  ::close(probe);
+  if (rc == 0 || err == EAGAIN) throw SocketInUseError(path);
+  if (err == ECONNREFUSED) ::unlink(path.c_str());
 }
 
 }  // namespace
@@ -91,13 +109,16 @@ ServeSocketServer::ServeSocketServer(TuneServer& server,
                                      std::string socket_path)
     : server_(server), path_(std::move(socket_path)) {
   const sockaddr_un addr = make_address(path_);
-  ::unlink(path_.c_str());
+  remove_stale_socket(path_, addr);
   listen_fd_ = make_socket();
-  AAL_CHECK(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)) == 0,
-            "bind(" << path_ << ") failed: " << std::strerror(errno));
-  AAL_CHECK(::listen(listen_fd_, 64) == 0,
-            "listen(" << path_ << ") failed: " << std::strerror(errno));
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, 64) != 0) {
+    // The destructor does not run for a throwing constructor.
+    const std::string reason = std::strerror(errno);
+    ::close(listen_fd_);
+    throw InvalidArgument("cannot listen on " + path_ + ": " + reason);
+  }
 }
 
 ServeSocketServer::~ServeSocketServer() {

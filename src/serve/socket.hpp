@@ -57,11 +57,26 @@ class LineChannel {
   std::string buffer_;
 };
 
+/// Thrown when a live daemon already listens on the requested socket path.
+class SocketInUseError : public Error {
+ public:
+  explicit SocketInUseError(const std::string& path)
+      : Error("socket " + path + " is in use by a live daemon"), path_(path) {}
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// The daemon's accept loop: one service thread per connection.
 class ServeSocketServer {
  public:
-  /// Binds and listens on `socket_path` (an existing socket file there is
-  /// replaced). Throws InvalidArgument when the path cannot be bound.
+  /// Binds and listens on `socket_path`. A stale socket file there (one
+  /// that refuses connections, left by a daemon that died) is replaced; a
+  /// socket a live daemon still accepts on is not: that throws
+  /// SocketInUseError. Throws InvalidArgument when the path cannot be
+  /// bound, including when a non-socket file occupies it.
   ServeSocketServer(TuneServer& server, std::string socket_path);
   ~ServeSocketServer();
 

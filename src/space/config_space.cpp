@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 
@@ -15,6 +16,51 @@ namespace {
 /// small enough that a pathological all-infeasible space degrades to a
 /// plain draw instead of an infinite loop.
 constexpr int kMaxFeasibleAttempts = 256;
+
+/// Open-addressing set of flat indices (all >= 0): linear probing over a
+/// power-of-two table kept at most half full. It is feature_neighborhood's
+/// dedup set, which takes a few hundred inserts per call.
+class FlatSet {
+ public:
+  explicit FlatSet(std::size_t expected) {
+    std::size_t slots = 16;
+    while (slots < 2 * std::min<std::size_t>(expected, 1 << 16)) slots *= 2;
+    slots_.assign(slots, kEmpty);
+  }
+
+  /// Inserts `flat`; false when it was already present.
+  bool insert(std::int64_t flat) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      const std::vector<std::int64_t> previous = std::move(slots_);
+      slots_.assign(previous.size() * 2, kEmpty);
+      size_ = 0;
+      for (const std::int64_t v : previous) {
+        if (v != kEmpty) place(v);
+      }
+    }
+    return place(flat);
+  }
+
+ private:
+  static constexpr std::int64_t kEmpty = -1;
+
+  bool place(std::int64_t flat) {
+    const std::size_t mask = slots_.size() - 1;
+    const std::uint64_t hash =
+        (static_cast<std::uint64_t>(flat) * 0x9E3779B97F4A7C15ULL) >> 32;
+    std::size_t i = static_cast<std::size_t>(hash) & mask;
+    while (slots_[i] != kEmpty) {
+      if (slots_[i] == flat) return false;
+      i = (i + 1) & mask;
+    }
+    slots_[i] = flat;
+    ++size_;
+    return true;
+  }
+
+  std::vector<std::int64_t> slots_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -314,37 +360,106 @@ std::vector<Config> ConfigSpace::feature_neighborhood(const Config& center,
   std::vector<Config> out;
   if (max_points == 0) return out;
 
-  const std::vector<double> center_feats = features(center);
-  const double r2 = radius * radius;
-  std::unordered_set<std::int64_t> seen{center.flat};
-  const std::size_t max_attempts = max_points * 60 + 400;
-  std::vector<double> feats;
-  feats.reserve(static_cast<std::size_t>(feature_dim_));
+  // The squared feature distance separates by knob: a config's features are
+  // its knobs' feature rows side by side. So tabulate, per knob and choice,
+  // the squared distance of that row to the centre's row, accumulated
+  // column by column exactly as the whole-vector sum accumulates it.
+  struct KnobTable {
+    std::uint64_t size;   // draw range
+    std::int64_t stride;  // mixed-radix place value in the flat index
+    const double* dist;   // [size] squared distance to the centre's row
+  };
+  const std::int64_t center_flat = flat_of(center.choices);
+  const std::size_t n = knobs_.size();
+  std::vector<KnobTable> table(n);
+  std::vector<double> dist(static_cast<std::size_t>(std::accumulate(
+      knobs_.begin(), knobs_.end(), std::int64_t{0},
+      [](std::int64_t acc, const Knob& k) { return acc + k.size(); })));
+  double* next = dist.data();
+  std::int64_t stride = size_;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Knob& knob = knobs_[k];
+    stride /= knob.size();
+    table[k] = {static_cast<std::uint64_t>(knob.size()), stride, next};
+    const double* c = knob.feature_row(center.choices[k]);
+    for (std::int64_t v = 0; v < knob.size(); ++v) {
+      const double* row = knob.feature_row(v);
+      double acc = 0.0;
+      for (int j = 0; j < knob.feature_width(); ++j) {
+        const double d = row[j] - c[j];
+        acc += d * d;
+      }
+      *next++ = acc;
+    }
+  }
 
+  const double r2 = radius * radius;
+  FlatSet seen(max_points);
+  const std::size_t max_attempts = max_points * 60 + 400;
   for (std::size_t attempt = 0;
        attempt < max_attempts && out.size() < max_points; ++attempt) {
     // Mutate 1-3 random knobs of the center.
-    std::vector<std::int32_t> choices = center.choices;
-    const auto mutations = 1 + rng.next_index(3);
-    for (std::uint64_t m = 0; m < mutations; ++m) {
-      const auto k = static_cast<std::size_t>(rng.next_index(knobs_.size()));
-      choices[k] = static_cast<std::int32_t>(
-          rng.next_index(static_cast<std::uint64_t>(knobs_[k].size())));
+    std::size_t knob_of[3];
+    std::int32_t value_of[3];
+    const auto mutations = static_cast<int>(1 + rng.next_index(3));
+    for (int m = 0; m < mutations; ++m) {
+      knob_of[m] = static_cast<std::size_t>(rng.next_index(n));
+      value_of[m] =
+          static_cast<std::int32_t>(rng.next_index(table[knob_of[m]].size));
     }
-    Config candidate = make(std::move(choices));
-    if (seen.contains(candidate.flat)) continue;
+    // Every term of the distance is non-negative, so a single mutated knob
+    // beyond r^2 rejects the candidate. A knob drawn twice keeps its last
+    // value, so only last draws count.
+    bool last[3];
+    bool reject = false;
+    for (int i = 0; i < mutations; ++i) {
+      last[i] = true;
+      for (int j = i + 1; j < mutations; ++j) {
+        last[i] &= knob_of[j] != knob_of[i];
+      }
+      reject |= last[i] & (table[knob_of[i]].dist[value_of[i]] > r2);
+    }
+    if (reject) continue;
 
-    feats.clear();
-    for (std::size_t i = 0; i < knobs_.size(); ++i) {
-      knobs_[i].append_features(candidate.choices[i], feats);
+    // The knobs that changed, ordered by knob, i.e. by column; a knob back
+    // at the centre's choice adds exact zeros and is skipped.
+    std::size_t knob_at[3];
+    std::int32_t value_at[3];
+    int kept = 0;
+    for (int i = 0; i < mutations; ++i) {
+      if (!last[i] || value_of[i] == center.choices[knob_of[i]]) continue;
+      int p = kept++;
+      for (; p > 0 && knob_at[p - 1] > knob_of[i]; --p) {
+        knob_at[p] = knob_at[p - 1];
+        value_at[p] = value_at[p - 1];
+      }
+      knob_at[p] = knob_of[i];
+      value_at[p] = value_of[i];
     }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < feats.size() && acc <= r2; ++i) {
-      const double d = feats[i] - center_feats[i];
-      acc += d * d;
+    // The first knob's entry is the running sum after its columns; later
+    // knobs' columns are added one by one, as the whole-vector sum does.
+    double acc = kept == 0 ? 0.0 : table[knob_at[0]].dist[value_at[0]];
+    for (int i = 1; i < kept && acc <= r2; ++i) {
+      const Knob& knob = knobs_[knob_at[i]];
+      const double* row = knob.feature_row(value_at[i]);
+      const double* c = knob.feature_row(center.choices[knob_at[i]]);
+      for (int j = 0; j < knob.feature_width() && acc <= r2; ++j) {
+        const double d = row[j] - c[j];
+        acc += d * d;
+      }
     }
     if (acc > r2) continue;
-    seen.insert(candidate.flat);
+
+    std::int64_t flat = center_flat;
+    for (int i = 0; i < kept; ++i) {
+      flat += (value_at[i] - center.choices[knob_at[i]]) *
+              table[knob_at[i]].stride;
+    }
+    if (flat == center.flat || !seen.insert(flat)) continue;
+    Config candidate;
+    candidate.choices = center.choices;
+    for (int i = 0; i < kept; ++i) candidate.choices[knob_at[i]] = value_at[i];
+    candidate.flat = flat;
     if (!constraints_.empty() && !feasible(candidate)) continue;
     out.push_back(std::move(candidate));
   }

@@ -137,10 +137,19 @@ class ConfigSpace {
   /// vector, so this is the alternative reading of BAO's radius metric.
   double feature_distance_sq(const Config& a, const Config& b) const;
 
-  /// Neighborhood under the feature-space metric: configurations within
-  /// Euclidean feature distance `radius` of `center` (center excluded),
-  /// generated by mutating 1-3 knobs and filtering. Deterministic given
-  /// rng; falls back to one random distinct point if the ball is empty.
+  /// Neighborhood under the feature-space metric: up to max_points
+  /// distinct configurations within Euclidean feature distance `radius` of
+  /// `center` (center excluded). Not an enumeration of the ball: each of
+  /// max_points * 60 + 400 attempts mutates 1-3 random knobs of the center
+  /// and keeps the result if it is inside the ball, new, and feasible, so
+  /// members come back in draw order and a ball smaller than the cap may
+  /// be returned incompletely. Deterministic given rng; falls back to one
+  /// random distinct point if no attempt lands in the ball.
+  ///
+  /// Each attempt is scored from per-knob tables of squared distances to
+  /// the center, built once per call; the result, the RNG draws and the
+  /// feasibility tally are bitwise those of scoring every candidate's full
+  /// feature vector.
   std::vector<Config> feature_neighborhood(const Config& center, double radius,
                                            std::size_t max_points,
                                            Rng& rng) const;

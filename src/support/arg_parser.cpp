@@ -64,7 +64,15 @@ void ArgParser::parse(int argc, const char* const* argv) {
         name.erase(eq);
       }
       Flag* flag = find(name);
-      AAL_CHECK(flag != nullptr, "unknown flag --" << name);
+      if (flag == nullptr) {
+        std::vector<std::string> names;
+        for (const Flag& f : flags_) names.push_back(f.name);
+        std::string message = "unknown flag --" + name;
+        if (const auto closest = closest_match(name, names)) {
+          message += " (did you mean --" + *closest + "?)";
+        }
+        throw InvalidArgument(message + "; see --help");
+      }
       if (flag->is_switch) {
         AAL_CHECK(!inline_value.has_value(),
                   "switch --" << name << " takes no value");

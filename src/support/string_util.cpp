@@ -140,6 +140,41 @@ std::string format_count(std::int64_t n) {
   return buf;
 }
 
+namespace {
+
+/// Levenshtein distance; the candidate lists are tiny, so the quadratic
+/// table is irrelevant.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    cur[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
+    }
+    std::swap(prev, cur);
+  }
+  return prev[b.size()];
+}
+
+}  // namespace
+
+std::optional<std::string> closest_match(
+    std::string_view name, const std::vector<std::string>& candidates) {
+  const std::string* closest = nullptr;
+  std::size_t best = 0;
+  for (const std::string& c : candidates) {
+    const std::size_t d = edit_distance(name, c);
+    if (closest == nullptr || d < best) {
+      best = d;
+      closest = &c;
+    }
+  }
+  if (closest == nullptr || best > name.size() / 2 + 1) return std::nullopt;
+  return *closest;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,12 @@ std::string format_percent(double fraction, int precision = 2);
 
 /// Human-readable large count, e.g. 209715200 -> "209.7M".
 std::string format_count(std::int64_t n);
+
+/// The candidate nearest to `name` by Levenshtein distance, for "did you
+/// mean" hints; nullopt when none is within name.size() / 2 + 1 edits.
+/// Ties go to the earliest candidate.
+std::optional<std::string> closest_match(
+    std::string_view name, const std::vector<std::string>& candidates);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);

@@ -1,8 +1,12 @@
 #include "serve/socket.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -91,6 +95,65 @@ TEST_F(ServeSocketTest, HelloNegotiatesTheProtocolVersion) {
   const ServeResponse reject = stale.call(hello);
   EXPECT_FALSE(reject.ok);
   EXPECT_EQ(reject.error, ServeErrorCode::kVersionMismatch);
+}
+
+TEST_F(ServeSocketTest, SecondDaemonOnALiveSocketFailsAndTheFirstKeepsIt) {
+  TuneServer second(TuneServerOptions{});
+  const std::string path = socket_server_->socket_path();
+  try {
+    ServeSocketServer thief(second, path);
+    FAIL() << "a second daemon bound a live socket";
+  } catch (const SocketInUseError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
+
+  ServeClient client = connect();
+  ServeRequest hello;
+  hello.id = 1;
+  hello.op = ServeOp::kHello;
+  hello.version = kServeProtocolVersion;
+  EXPECT_TRUE(client.call(hello).ok);
+}
+
+TEST_F(ServeSocketTest, StaleSocketFileIsReplaced) {
+  // A bound socket that never listens refuses connections, exactly like
+  // the file a killed daemon leaves behind.
+  const std::string path = (dir_ / "stale.sock").string();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::close(fd);
+  ASSERT_TRUE(fs::exists(path));
+
+  TuneServer second(TuneServerOptions{});
+  ServeSocketServer replacement(second, path);
+  std::thread serving([&] { replacement.serve_forever(); });
+  ServeClient client(path, milliseconds(2000));
+  ServeRequest hello;
+  hello.id = 1;
+  hello.op = ServeOp::kHello;
+  hello.version = kServeProtocolVersion;
+  EXPECT_TRUE(client.call(hello).ok);
+  replacement.stop();
+  serving.join();
+}
+
+TEST_F(ServeSocketTest, NonSocketFileAtThePathIsNotRemoved) {
+  const std::string path = (dir_ / "not-a-socket").string();
+  std::ofstream(path) << "keep me\n";
+  TuneServer second(TuneServerOptions{});
+  try {
+    ServeSocketServer unused(second, path);
+    FAIL() << "bound a path held by a regular file";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
+  EXPECT_TRUE(fs::is_regular_file(path));
 }
 
 TEST_F(ServeSocketTest, StreamedTraceMatchesTheStandaloneRunByteForByte) {

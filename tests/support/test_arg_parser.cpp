@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/common.hpp"
 
 namespace aal {
@@ -119,6 +121,33 @@ TEST(ArgParser, ErrorsOnBadInput) {
     ArgParser q = p;  // missing required positional
     EXPECT_THROW(q.parse(0, nullptr), InvalidArgument);
   }
+}
+
+std::string unknown_flag_message(const char* flag) {
+  ArgParser p("test");
+  p.add_flag("model", "model name", "alexnet");
+  p.add_flag("target", "target name", "gpu-pascal");
+  p.add_int_flag("budget", "budget", 1);
+  auto args = argv_of({flag, "v"});
+  try {
+    p.parse(static_cast<int>(args.size()), args.data());
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << flag << " was accepted";
+  return "";
+}
+
+TEST(ArgParser, UnknownFlagSuggestsTheNearestFlag) {
+  EXPECT_EQ(unknown_flag_message("--modle"),
+            "unknown flag --modle (did you mean --model?); see --help");
+  EXPECT_EQ(unknown_flag_message("--budgte=3"),
+            "unknown flag --budgte (did you mean --budget?); see --help");
+}
+
+TEST(ArgParser, UnknownFlagWithoutANearFlagOnlyPointsAtHelp) {
+  EXPECT_EQ(unknown_flag_message("--zzzzzzzzzz"),
+            "unknown flag --zzzzzzzzzz; see --help");
 }
 
 TEST(ArgParser, UsageMentionsEverything) {

@@ -53,6 +53,14 @@ TEST(StringUtil, StartsEndsWith) {
   EXPECT_FALSE(ends_with("txt", "file.txt"));
 }
 
+TEST(StringUtil, ClosestMatchHonoursTheEditBound) {
+  const std::vector<std::string> names = {"model", "target", "budget"};
+  EXPECT_EQ(closest_match("modle", names), "model");
+  EXPECT_EQ(closest_match("targte", names), "target");
+  EXPECT_EQ(closest_match("zzzzzzzz", names), std::nullopt);
+  EXPECT_EQ(closest_match("x", {}), std::nullopt);
+}
+
 TEST(TextTable, RendersAlignedGrid) {
   TextTable t;
   t.set_header({"Model", "Latency"});
