@@ -78,7 +78,11 @@ struct DenseWorkload {
   void validate() const;
 };
 
-enum class WorkloadKind : std::uint8_t {
+// 64-bit, as wide as the int64 fields after it, so no padding follows
+// Workload's tag. gtest names each value-parameterised case after a byte
+// dump of its Workload parameter; padding there held leftover stack bytes,
+// which made those case names differ from one test-binary run to the next.
+enum class WorkloadKind : std::uint64_t {
   kConv2d,
   kDepthwiseConv2d,
   kDense,

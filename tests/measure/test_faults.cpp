@@ -366,9 +366,11 @@ TEST_F(MeasureFaultsTest, RetryMetricsCountFaultsAndQuarantines) {
 // pair) the emitted trace bytes.
 // ---------------------------------------------------------------------------
 
+/// `cap` is 64-bit so the struct has no padding: gtest names each case after
+/// a byte dump of it, and padding bytes would differ from run to run.
 struct SweepCase {
-  double scale;  // fraction of the mixed plan's full rate
-  int cap;       // FaultPlan::max_faults_per_config
+  double scale;       // fraction of the mixed plan's full rate
+  std::int64_t cap;   // FaultPlan::max_faults_per_config
 };
 
 /// Drops metric lines whose names match `drop` (substring match). Used to
