@@ -19,13 +19,16 @@
 // entries always cover every registered target, so each backend's device
 // model has a checked-in baseline entry.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,6 +39,8 @@
 #include "graph/models.hpp"
 #include "hwsim/target.hpp"
 #include "measure/tuning_task.hpp"
+#include "ml/gbdt.hpp"
+#include "ml/sa_optimizer.hpp"
 #include "ml/surrogate.hpp"
 #include "pipeline/model_tuner.hpp"
 #include "support/dense.hpp"
@@ -272,6 +277,96 @@ std::vector<Config> feature_neighborhood_loop(const ConfigSpace& space,
   return out;
 }
 
+/// Gbdt::predict as it was before the tree-lockstep walk: each tree walked
+/// to its leaf in turn through the branchy, checked DecisionTree::predict.
+double gbdt_predict_per_tree(const Gbdt& model, std::span<const double> row) {
+  double acc = 0.0;
+  for (const DecisionTree& tree : model.trees()) {
+    acc += model.learning_rate() * tree.predict(row);
+  }
+  return model.base() + model.scale() * acc;
+}
+
+Config sa_mutate_reference(const ConfigSpace& space, const Config& config,
+                           Rng& rng) {
+  // Resample one knob (retry if the knob has a single entity).
+  std::vector<std::int32_t> choices = config.choices;
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const auto knob_idx =
+        static_cast<std::size_t>(rng.next_index(space.num_knobs()));
+    const std::int64_t size = space.knob(knob_idx).size();
+    if (size <= 1) continue;
+    auto v = static_cast<std::int32_t>(rng.next_index(
+        static_cast<std::uint64_t>(size)));
+    if (v == choices[knob_idx]) v = (v + 1) % static_cast<std::int32_t>(size);
+    choices[knob_idx] = v;
+    return space.make(std::move(choices));
+  }
+  return config;  // fully degenerate space
+}
+
+/// SaOptimizer::maximize as it was before the full-set pre-check in offer:
+/// every proposal not excluded is inserted into the top-k map (a node and a
+/// Config copy) and the worst entry erased again.
+std::vector<Config> sa_maximize_reference(
+    const ConfigSpace& space, const SaParams& params,
+    const std::function<double(const Config&)>& score, int k, Rng& rng,
+    const std::unordered_set<std::int64_t>& exclude) {
+  struct Chain {
+    Config state;
+    double energy;
+  };
+  std::vector<Chain> chains;
+  chains.reserve(static_cast<std::size_t>(params.num_chains));
+  for (int i = 0; i < params.num_chains; ++i) {
+    Config c = space.sample(rng);
+    const double e = score(c);
+    chains.push_back(Chain{std::move(c), e});
+  }
+
+  std::map<std::pair<double, std::int64_t>, Config> top;
+  auto offer = [&](const Config& c, double e) {
+    if (exclude.contains(c.flat)) return;
+    const std::pair<double, std::int64_t> key{-e, c.flat};
+    if (top.contains(key)) return;
+    top.emplace(key, c);
+    if (top.size() > static_cast<std::size_t>(k)) {
+      top.erase(std::prev(top.end()));
+    }
+  };
+  for (const Chain& c : chains) offer(c.state, c.energy);
+
+  double spread = 1e-9;
+  for (const Chain& c : chains) {
+    spread = std::max(spread, std::abs(c.energy));
+  }
+
+  for (int iter = 0; iter < params.iterations; ++iter) {
+    const double progress =
+        params.iterations <= 1
+            ? 1.0
+            : static_cast<double>(iter) / (params.iterations - 1);
+    const double temp =
+        params.temp_start + (params.temp_end - params.temp_start) * progress;
+    for (Chain& chain : chains) {
+      Config proposal = sa_mutate_reference(space, chain.state, rng);
+      if (proposal.flat == chain.state.flat) continue;
+      const double e = score(proposal);
+      offer(proposal, e);
+      const double delta = (e - chain.energy) / (spread * std::max(temp, 1e-6));
+      if (delta >= 0.0 || rng.next_double() < std::exp(delta)) {
+        chain.state = std::move(proposal);
+        chain.energy = e;
+      }
+    }
+  }
+
+  std::vector<Config> out;
+  out.reserve(top.size());
+  for (auto& [key, config] : top) out.push_back(std::move(config));
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Inputs
 
@@ -460,8 +555,8 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
 
   // The scoring engine in isolation: one GBDT predicting the whole
   // candidate block. Optimized: the flattened level-order batch walk;
-  // baseline: the scalar per-row predict loop every call site used before
-  // the engine existed. Two ensemble shapes — the surrogate default and a
+  // baseline: the per-tree per-row walk every call site used before the
+  // engine existed. Two ensemble shapes — the surrogate default and a
   // smaller/shallower forest — so both cache regimes are covered.
   {
     struct ForestShape {
@@ -487,13 +582,143 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       e.baseline_median_ms = time_median_ms(repeats, smoke ? 40 : 20, [&] {
         double acc = 0.0;
         for (std::size_t i = 0; i < batch.rows; ++i) {
-          acc += model.predict(
-              std::span<const double>{batch.row(i), batch.cols});
+          acc += gbdt_predict_per_tree(
+              model, std::span<const double>{batch.row(i), batch.cols});
         }
         sink(acc);
       });
       out.push_back(std::move(e));
     }
+  }
+
+  {  // Single-row scoring, SA's access pattern: the default 60-tree depth-5
+     // surrogate scoring the candidate block one row at a time. Optimized:
+     // Gbdt::predict's tree-lockstep walk; baseline: the per-tree walk
+     // Gbdt::predict used before it. Bitwise equality is checked first.
+    GbdtParams params;
+    Gbdt model;
+    model.fit(data, params);
+    for (std::size_t i = 0; i < batch.rows; ++i) {
+      const std::span<const double> row{batch.row(i), batch.cols};
+      AAL_CHECK(std::bit_cast<std::uint64_t>(model.predict(row)) ==
+                    std::bit_cast<std::uint64_t>(
+                        gbdt_predict_per_tree(model, row)),
+                "lockstep predict diverged from the per-tree walk");
+    }
+    BenchEntry e{"gbt_predict_row",
+                 {{"trees", params.num_trees},
+                  {"depth", params.max_depth},
+                  {"rows", static_cast<long long>(batch.rows)}}};
+    e.median_ms = time_median_ms(repeats, smoke ? 40 : 20, [&] {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < batch.rows; ++i) {
+        acc += model.predict(std::span<const double>{batch.row(i), batch.cols});
+      }
+      sink(acc);
+    });
+    e.baseline_median_ms = time_median_ms(repeats, smoke ? 40 : 20, [&] {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < batch.rows; ++i) {
+        acc += gbdt_predict_per_tree(
+            model, std::span<const double>{batch.row(i), batch.cols});
+      }
+      sink(acc);
+    });
+    out.push_back(std::move(e));
+  }
+
+  {  // One SA acquisition per mobilenet_v1 space, as the AutoTVM tuner runs
+     // it: a default GBDT fitted on the space, a score memoized by flat
+     // index, 64 chains x 120 steps, top-64 over an exclude set of the
+     // fitted rows. Optimized: SaOptimizer::maximize scoring through the
+     // lockstep walk; baseline: the verbatim pre-change maximize scoring
+     // through the per-tree walk. Outputs, RNG state and score-call counts
+     // must agree before anything is timed.
+    struct SaCase {
+      TuningTask task;
+      Gbdt model;
+      std::unordered_set<std::int64_t> exclude;
+    };
+    std::vector<SaCase> cases;
+    for (const auto& t : extract_tasks(fuse(make_mobilenet_v1()))) {
+      if (cases.size() == (smoke ? 2u : 5u)) break;
+      TuningTask task(t.workload, make_target(target));
+      Rng rng(81 + cases.size());
+      Dataset fit_rows(static_cast<std::size_t>(task.space().feature_dim()));
+      std::unordered_set<std::int64_t> exclude;
+      for (const Config& c :
+           task.space().sample_distinct(smoke ? 32 : 128, rng)) {
+        const KernelProfile p = task.profile(c);
+        fit_rows.add_row(task.space().features(c),
+                         p.valid ? p.gflops(task.workload().flops()) : 0.0);
+        exclude.insert(c.flat);
+      }
+      Gbdt model;
+      model.fit(fit_rows, GbdtParams{});
+      cases.push_back(SaCase{std::move(task), std::move(model),
+                             std::move(exclude)});
+    }
+    SaParams sa_params;
+    if (smoke) sa_params.iterations = 30;
+    const int k = 64;
+    struct SaRun {
+      std::vector<Config> top;
+      std::uint64_t next_draw = 0;
+      std::int64_t calls = 0;
+    };
+    const auto run_all = [&](bool reference) {
+      std::vector<SaRun> runs;
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const SaCase& c = cases[i];
+        const ConfigSpace& space = c.task.space();
+        std::unordered_map<std::int64_t, double> memo;
+        std::vector<double> row(static_cast<std::size_t>(space.feature_dim()));
+        SaRun run;
+        const std::function<double(const Config&)> score =
+            [&](const Config& config) {
+              ++run.calls;
+              const auto it = memo.find(config.flat);
+              if (it != memo.end()) return it->second;
+              space.features_into(config, row);
+              const double s = reference ? gbdt_predict_per_tree(c.model, row)
+                                         : c.model.predict(row);
+              memo.emplace(config.flat, s);
+              return s;
+            };
+        Rng rng(91 + i);
+        run.top = reference ? sa_maximize_reference(space, sa_params, score,
+                                                    k, rng, c.exclude)
+                            : SaOptimizer(space, sa_params)
+                                  .maximize(score, k, rng, c.exclude);
+        run.next_draw = rng();
+        runs.push_back(std::move(run));
+      }
+      return runs;
+    };
+    {
+      const std::vector<SaRun> got = run_all(false), want = run_all(true);
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        bool same = got[i].top.size() == want[i].top.size() &&
+                    got[i].next_draw == want[i].next_draw &&
+                    got[i].calls == want[i].calls;
+        for (std::size_t j = 0; same && j < want[i].top.size(); ++j) {
+          same = got[i].top[j].flat == want[i].top[j].flat;
+        }
+        AAL_CHECK(same, "SA maximize diverged from the reference search");
+      }
+    }
+    BenchEntry e{"sa_maximize",
+                 {{"spaces", static_cast<long long>(cases.size())},
+                  {"chains", sa_params.num_chains},
+                  {"steps", sa_params.iterations},
+                  {"k", k}}};
+    e.median_ms = time_median_ms(repeats, 1, [&] {
+      sink(static_cast<double>(run_all(false).size()));
+    });
+    e.baseline_median_ms = time_median_ms(repeats, 1, [&] {
+      sink(static_cast<double>(run_all(true).size()));
+    });
+    out.push_back(std::move(e));
   }
 
   {  // BAO's feature-space neighbourhood C_t over every mobilenet_v1 task:

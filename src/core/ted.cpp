@@ -23,7 +23,7 @@ double median_distance(const std::vector<double>& sq, std::size_t n) {
   std::vector<double> off;
   off.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
-    off.insert(off.end(), &sq[i * n + i + 1], &sq[i * n + n]);
+    off.insert(off.end(), sq.data() + i * n + i + 1, sq.data() + i * n + n);
   }
   const std::size_t mid = off.size() / 2;
   std::nth_element(off.begin(), off.begin() + static_cast<std::ptrdiff_t>(mid),

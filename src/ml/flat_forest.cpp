@@ -20,6 +20,10 @@ constexpr std::size_t kRowBlock = 64;
 /// thresholds affect wall-clock only, never results (rows are independent).
 constexpr std::size_t kParallelMinRows = 4 * kRowBlock;
 
+/// Trees walked in lockstep by the single-row predict. The tuner's default
+/// 60-tree forest fits one block; the cursor array stays on the stack.
+constexpr std::size_t kTreeBlock = 64;
+
 /// Lockstep walk of `nr` rows (nr <= NB, NB a compile-time constant so the
 /// arrays sit on the stack and the inner loops have vectorizer-friendly
 /// bounds) against every tree of the forest.
@@ -174,11 +178,51 @@ FlatForest FlatForest::build(std::span<const DecisionTree> trees, double base,
       out.nodes_.push_back(n);
     }
     out.min_width_ = std::max(out.min_width_, flat.min_width_);
+    out.max_depth_ = std::max(out.max_depth_, flat.depth_);
   }
   return out;
 }
 
 double FlatForest::predict(std::span<const double> features) const {
+  // A row too narrow for some split keeps the checked per-tree walk: it
+  // throws exactly when a path the row takes reaches a missing feature, so
+  // narrow rows fail or succeed as they always did.
+  if (features.size() < static_cast<std::size_t>(min_width_)) {
+    return predict_checked(features);
+  }
+  // Tree-lockstep walk: every tree of a block advances one level per pass,
+  // so the passes' loads are independent of each other instead of one
+  // dependent chain per tree, and the child select is the branchless one
+  // walk_block uses. The walk runs to the forest's deepest level (leaves
+  // self-loop), then sums `acc += lr * leaf` in tree order, the reference's
+  // expression sequence, so the result is bitwise the per-tree sum. A
+  // depth-0 forest makes no pass and loads no feature.
+  const FlatNode* const nodes = nodes_.data();
+  const std::int32_t* const roots = roots_.data();
+  const double* const x = features.data();
+  const double lr = learning_rate_;
+  const std::size_t num_trees = roots_.size();
+  double acc = 0.0;
+  std::int32_t idx[kTreeBlock];
+  for (std::size_t begin = 0; begin < num_trees; begin += kTreeBlock) {
+    const std::size_t nt = std::min(kTreeBlock, num_trees - begin);
+    std::copy(roots + begin, roots + begin + nt, idx);
+    for (int level = 0; level < max_depth_; ++level) {
+      for (std::size_t t = 0; t < nt; ++t) {
+        const FlatNode& n = nodes[static_cast<std::size_t>(idx[t])];
+        const double v = x[static_cast<std::size_t>(n.feature)];
+        const auto le = static_cast<std::int32_t>(v <= n.thr_or_value);
+        idx[t] = n.right + (n.left - n.right) * le;
+      }
+    }
+    for (std::size_t t = 0; t < nt; ++t) {
+      acc += lr * nodes[static_cast<std::size_t>(idx[t])].thr_or_value;
+    }
+  }
+  return base_ + scale_ * acc;
+}
+
+double FlatForest::predict_checked(std::span<const double> features) const {
   double acc = 0.0;
   for (std::size_t t = 0; t < roots_.size(); ++t) {
     std::int32_t idx = roots_[t];

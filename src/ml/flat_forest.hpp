@@ -7,14 +7,16 @@
 // a split are adjacent, leaves self-loop — so a whole ensemble walks blocks
 // of rows tree-by-tree in lockstep with branchless arithmetic-select steps
 // (`idx = right + (left - right) * (x <= thr)`) and the node array resident
-// in cache.
+// in cache. A single row (SA's one-config-at-a-time scoring) walks the
+// other way round: all trees in lockstep, one level per pass.
 //
 // The engine is pinned bitwise-identical to the scalar reference: per row
 // the leaf values are accumulated in tree order as `acc += lr * leaf` and
-// finished as `base + scale * acc`, exactly the expression sequence
-// Gbdt::predict evaluates (tests/ml/test_batch_predict.cpp). The process-
-// wide scalar fallback (AAL_SCALAR_SCORING=1 or set_batch_scoring_enabled)
-// routes every batched call back through per-row predict for A/B debugging.
+// finished as `base + scale * acc`, exactly the expression sequence of the
+// per-tree DecisionTree::predict sum (tests/ml/test_batch_predict.cpp). The
+// process-wide scalar fallback (AAL_SCALAR_SCORING=1 or
+// set_batch_scoring_enabled) routes every Gbdt call, single-row and
+// batched, back through that per-tree sum for A/B debugging.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +92,16 @@ class FlatForest {
   std::size_t num_trees() const { return roots_.size(); }
   std::size_t num_nodes() const { return nodes_.size(); }
   std::int32_t min_feature_width() const { return min_width_; }
+  /// Edges on the longest root-to-leaf path of any tree (0 when every tree
+  /// is a single leaf).
+  int max_depth() const { return max_depth_; }
 
-  /// Scalar reference walk over all trees (same FP order as predict_batch).
+  /// One row through every tree, bitwise equal to the per-tree sum of
+  /// DecisionTree::predict (same FP order as predict_batch). All trees
+  /// advance one level per pass with the branchless select, down to
+  /// max_depth(); a row narrower than min_feature_width() takes the checked
+  /// per-tree walk instead, which throws only if a path it takes reaches a
+  /// feature the row lacks.
   double predict(std::span<const double> features) const;
 
   /// out[i] = prediction for row i of the row-major `features` matrix
@@ -102,6 +112,9 @@ class FlatForest {
                      std::span<double> out) const;
 
  private:
+  /// Per-tree walk with a width check before every feature load.
+  double predict_checked(std::span<const double> features) const;
+
   std::vector<FlatNode> nodes_;        // all trees, concatenated
   std::vector<std::int32_t> roots_;    // per-tree root index into nodes_
   std::vector<std::int32_t> depths_;   // per-tree level count (edges)
@@ -109,6 +122,7 @@ class FlatForest {
   double scale_ = 1.0;
   double learning_rate_ = 0.0;
   std::int32_t min_width_ = 0;
+  int max_depth_ = 0;
 };
 
 }  // namespace aal

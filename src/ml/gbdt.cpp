@@ -88,6 +88,8 @@ void Gbdt::fit(const Dataset& data, const GbdtParams& params) {
 
 double Gbdt::predict(std::span<const double> features) const {
   AAL_CHECK(fitted_, "predict on an unfitted GBDT");
+  if (batch_scoring_enabled()) return flat_.predict(features);
+  // Scalar fallback: the per-tree reference sum the flat engine is pinned to.
   double acc = 0.0;
   for (const DecisionTree& tree : trees_) {
     acc += learning_rate_ * tree.predict(features);

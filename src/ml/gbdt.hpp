@@ -29,6 +29,9 @@ class Gbdt {
  public:
   void fit(const Dataset& data, const GbdtParams& params);
 
+  /// One row through the flattened engine's tree-lockstep walk, or, with
+  /// the scalar fallback forced, the per-tree DecisionTree::predict sum;
+  /// the two are bitwise-identical.
   double predict(std::span<const double> features) const;
 
   /// Batched prediction over a row-major feature matrix: out[i] receives
@@ -36,7 +39,7 @@ class Gbdt {
   /// >= the widest feature any tree splits on; out.size() >= rows). Routed
   /// through the flattened level-order engine (ml/flat_forest.hpp) unless
   /// the scalar fallback is forced; both paths are bitwise-identical to
-  /// per-row predict (pinned by tests/ml/test_batch_predict.cpp).
+  /// the per-tree reference sum (pinned by tests/ml/test_batch_predict.cpp).
   void predict_batch(std::span<const double> features, std::size_t rows,
                      std::span<double> out) const;
 
@@ -53,6 +56,11 @@ class Gbdt {
   bool fitted() const { return fitted_; }
   std::size_t num_trees() const { return trees_.size(); }
   const std::vector<DecisionTree>& trees() const { return trees_; }
+  /// The output transform: predict = base() + scale() * sum over trees of
+  /// learning_rate() * leaf, accumulated in tree order.
+  double base() const { return base_; }
+  double scale() const { return scale_; }
+  double learning_rate() const { return learning_rate_; }
 
   /// The flattened scoring engine built at the end of fit().
   const FlatForest& flat_forest() const { return flat_; }

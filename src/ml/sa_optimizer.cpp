@@ -45,12 +45,17 @@ std::vector<Config> SaOptimizer::maximize(
   // Top-k distinct candidates by score; std::map keyed by (-score, flat)
   // for deterministic ordering.
   std::map<std::pair<double, std::int64_t>, Config> top;
+  const auto cap = static_cast<std::size_t>(k);
   auto offer = [&](const Config& c, double e) {
     if (exclude.contains(c.flat)) return;
     const std::pair<double, std::int64_t> key{-e, c.flat};
+    // A full set keeps only keys below its worst; anything else would be
+    // inserted and erased again (or is the worst itself), so skip the map
+    // node and the Config copy.
+    if (top.size() >= cap && !(key < std::prev(top.end())->first)) return;
     if (top.contains(key)) return;
     top.emplace(key, c);
-    if (top.size() > static_cast<std::size_t>(k)) {
+    if (top.size() > cap) {
       top.erase(std::prev(top.end()));
     }
   };

@@ -56,7 +56,10 @@ void remove_stale_socket(const std::string& path, const sockaddr_un& addr) {
 LineChannel::~LineChannel() { close(); }
 
 LineChannel::LineChannel(LineChannel&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      max_line_(other.max_line_),
+      too_long_(other.too_long_),
+      buffer_(std::move(other.buffer_)) {
   other.fd_ = -1;
 }
 
@@ -86,13 +89,18 @@ bool LineChannel::send_line(const std::string& line) {
 }
 
 std::optional<std::string> LineChannel::recv_line() {
+  // Bytes already searched for '\n': each received chunk is scanned once.
+  std::size_t scanned = 0;
   while (true) {
-    const std::size_t pos = buffer_.find('\n');
+    const std::size_t pos = buffer_.find('\n', scanned);
     if (pos != std::string::npos) {
+      if (pos > max_line_) break;
       std::string line = buffer_.substr(0, pos);
       buffer_.erase(0, pos + 1);
       return line;
     }
+    scanned = buffer_.size();
+    if (scanned > max_line_) break;
     if (fd_ < 0) return std::nullopt;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -103,6 +111,9 @@ std::optional<std::string> LineChannel::recv_line() {
     if (n == 0) return std::nullopt;  // EOF; a partial tail line is dropped
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
+  too_long_ = true;
+  buffer_.clear();
+  return std::nullopt;
 }
 
 ServeSocketServer::ServeSocketServer(TuneServer& server,
@@ -161,7 +172,7 @@ void ServeSocketServer::serve_forever() {
 }
 
 void ServeSocketServer::handle_connection(int fd) {
-  LineChannel channel(fd);
+  LineChannel channel(fd, kMaxRequestLineBytes);
   while (std::optional<std::string> line = channel.recv_line()) {
     ServeRequest req;
     bool is_stream = false;
@@ -210,6 +221,14 @@ void ServeSocketServer::handle_connection(int fd) {
         return;
       }
     }
+  }
+  if (channel.line_too_long()) {
+    // The request's id was never read, so the frame carries -1, as for any
+    // request whose id cannot be parsed; the connection then closes.
+    channel.send_line(serve_error_line(
+        -1, ServeErrorCode::kBadRequest,
+        "request line longer than " + std::to_string(kMaxRequestLineBytes) +
+            " bytes"));
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -31,11 +32,19 @@
 
 namespace aal {
 
+/// Longest request line the daemon reads, without its '\n'. A peer that
+/// sends more before a newline gets a bad_request frame and is
+/// disconnected, so one connection cannot grow the daemon's buffer without
+/// bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Blocking '\n'-delimited line channel over a connected socket fd. Owns
 /// the fd; movable, not copyable.
 class LineChannel {
  public:
-  explicit LineChannel(int fd) : fd_(fd) {}
+  /// `max_line_bytes` bounds a received line (its '\n' not counted).
+  explicit LineChannel(int fd, std::size_t max_line_bytes = SIZE_MAX)
+      : fd_(fd), max_line_(max_line_bytes) {}
   ~LineChannel();
 
   LineChannel(LineChannel&& other) noexcept;
@@ -46,14 +55,21 @@ class LineChannel {
   /// Sends `line` plus '\n'. Returns false once the peer is gone.
   bool send_line(const std::string& line);
 
-  /// Next line without its '\n'; nullopt on EOF/reset.
+  /// Next line without its '\n'; nullopt on EOF/reset, and also once the
+  /// pending line exceeds the channel's maximum (line_too_long() is then
+  /// true and the buffered bytes are dropped).
   std::optional<std::string> recv_line();
+
+  /// True once recv_line gave up on a line longer than the maximum.
+  bool line_too_long() const { return too_long_; }
 
   void close();
   bool open() const { return fd_ >= 0; }
 
  private:
   int fd_ = -1;
+  std::size_t max_line_ = SIZE_MAX;
+  bool too_long_ = false;
   std::string buffer_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -227,6 +229,91 @@ TEST_F(ServeSocketTest, CancelOverTheWireIsAcknowledged) {
   status.op = ServeOp::kStatus;
   status.job = job;
   EXPECT_EQ(client.call(status).find("state")->as_string(), "cancelled");
+}
+
+TEST_F(ServeSocketTest, OversizeRequestLineIsRejectedAndTheDaemonLivesOn) {
+  // One byte past the limit and no newline: the daemon must stop buffering,
+  // answer with a typed bad_request frame and close the connection.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                socket_server_->socket_path().c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // A daemon that kept buffering would never answer; time out instead.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  LineChannel channel(fd);
+  const std::string oversize(kMaxRequestLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < oversize.size()) {
+    const ssize_t n = ::send(fd, oversize.data() + sent,
+                             oversize.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "daemon closed before reading the whole line";
+    sent += static_cast<std::size_t>(n);
+  }
+  const std::optional<std::string> line = channel.recv_line();
+  ASSERT_TRUE(line.has_value());
+  const ServeResponse reject = ServeResponse::parse(*line);
+  EXPECT_FALSE(reject.ok);
+  EXPECT_EQ(reject.error, ServeErrorCode::kBadRequest);
+  EXPECT_EQ(reject.id, -1);
+  EXPECT_FALSE(channel.recv_line().has_value()) << "connection left open";
+
+  // The daemon still serves a new connection.
+  ServeClient client = connect();
+  ServeRequest hello;
+  hello.id = 7;
+  hello.op = ServeOp::kHello;
+  hello.version = kServeProtocolVersion;
+  const ServeResponse resp = client.call(hello);
+  EXPECT_TRUE(resp.ok);
+  EXPECT_EQ(resp.id, 7);
+}
+
+TEST_F(ServeSocketTest, RequestLineAtTheLimitIsRead) {
+  // A line of exactly the limit is still read as a request (here one with
+  // an unknown padding field, which earns the ordinary typed rejection),
+  // and the connection stays open for the next request.
+  const std::string head =
+      std::string("{\"id\":3,\"op\":\"hello\",\"version\":\"") +
+      kServeProtocolVersion + "\",\"pad\":\"";
+  const std::string tail = "\"}";
+  std::string line = head;
+  line.append(kMaxRequestLineBytes - head.size() - tail.size(), 'p');
+  line += tail;
+  ASSERT_EQ(line.size(), kMaxRequestLineBytes);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                socket_server_->socket_path().c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  LineChannel channel(fd);
+  ASSERT_TRUE(channel.send_line(line));
+  const std::optional<std::string> answer = channel.recv_line();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(ServeResponse::parse(*answer).message.find("longer than"),
+            std::string::npos)
+      << *answer;
+
+  ServeRequest hello;
+  hello.id = 4;
+  hello.op = ServeOp::kHello;
+  hello.version = kServeProtocolVersion;
+  ASSERT_TRUE(channel.send_line(hello.to_line()));
+  const std::optional<std::string> second = channel.recv_line();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(ServeResponse::parse(*second).ok) << *second;
 }
 
 TEST_F(ServeSocketTest, ShutdownRequestDrainsTheDaemon) {
