@@ -15,7 +15,7 @@ namespace {
 using namespace aal;
 using namespace aal::bench;
 
-double run_variant(const Workload& w, const GpuSpec& spec,
+double run_variant(const Workload& w, const TargetSpec& spec,
                    const BaoParams& bao, std::uint64_t salt) {
   TuneOptions options;
   options.budget = std::min<std::int64_t>(budget(), 512);
@@ -32,7 +32,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Ablation: adaptive neighborhood", "R / tau / Eq.(1) variants");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload w = tasks[2].workload;  // pointwise conv, 5.9x10^7 points
   std::printf("task: %s\n\n", w.brief().c_str());

@@ -17,7 +17,7 @@ namespace {
 using namespace aal;
 using namespace aal::bench;
 
-double run_with_repeats(const Workload& w, const GpuSpec& spec,
+double run_with_repeats(const Workload& w, const TargetSpec& spec,
                         const TunerFactory& factory, int repeats,
                         std::uint64_t salt) {
   TuneOptions options;
@@ -44,7 +44,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Ablation: measurement noise", "timing repeats 1 / 3 / 10");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload w = tasks[0].workload;
   std::printf("task: %s\n\n", w.brief().c_str());

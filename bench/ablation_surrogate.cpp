@@ -18,7 +18,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Ablation: surrogate family", "BAO with GBDT / ridge / kNN");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload workloads[] = {tasks[0].workload, tasks[1].workload};
 

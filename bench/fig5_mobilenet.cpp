@@ -24,7 +24,7 @@ int main() {
   set_log_threshold(LogLevel::kWarn);
   banner("Fig. 5", "19 MobileNet-v1 tasks: #configs and GFLOPS vs AutoTVM");
 
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const auto all_tasks = extract_tasks(fuse(make_mobilenet_v1()));
   std::vector<Workload> conv_tasks;
   for (const auto& t : all_tasks) {

@@ -8,8 +8,9 @@
 // docs/PERF.md) so CI can validate the schema and the checked-in
 // BENCH_kernels.json / BENCH_tuner.json stay diffable. Each entry reports
 // the median of --repeats runs; "baseline" entries re-run the pre-kernel-
-// layer scalar implementations, replicated below verbatim so the comparison
-// survives future rewrites of the library code.
+// layer scalar implementations kept verbatim in
+// tests/reference/reference_impls.hpp (the equivalence tests' oracles), so
+// the comparison survives future rewrites of the library code.
 //
 // Usage: micro_kernels --suite kernels|tuner [--repeats N] [--scale
 // full|smoke] [--target NAME] [--out FILE]. --scale smoke shrinks every
@@ -23,15 +24,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <limits>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "core/bootstrap.hpp"
 #include "core/bted.hpp"
 #include "core/ted.hpp"
@@ -42,7 +41,7 @@
 #include "ml/gbdt.hpp"
 #include "ml/sa_optimizer.hpp"
 #include "ml/surrogate.hpp"
-#include "pipeline/model_tuner.hpp"
+#include "reference/reference_impls.hpp"
 #include "support/dense.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -52,16 +51,10 @@
 namespace {
 
 using namespace aal;
+using bench::BenchEntry;
 
 // ---------------------------------------------------------------------------
 // Timing
-
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n % 2 ? samples[n / 2]
-               : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-}
 
 /// Median over `repeats` timed runs of `iters` back-to-back calls each
 /// (iters > 1 amortizes clock granularity for sub-millisecond kernels).
@@ -82,290 +75,6 @@ double time_median_ms(int repeats, int iters, const std::function<void()>& fn) {
 /// Defeat dead-code elimination without google-benchmark.
 volatile double g_sink = 0.0;
 void sink(double v) { g_sink = g_sink + v; }
-
-// ---------------------------------------------------------------------------
-// Result collection / JSON emission
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, long long>> params;
-  double median_ms = 0.0;
-  double baseline_median_ms = -1.0;  // < 0 means "no baseline"
-};
-
-void write_json(std::FILE* out, const std::string& suite,
-                const std::string& scale, int repeats,
-                const std::vector<BenchEntry>& entries) {
-#ifdef NDEBUG
-  const char* build = "Release";
-#else
-  const char* build = "Debug";
-#endif
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"aaltune-bench/v1\",\n");
-  std::fprintf(out, "  \"suite\": \"%s\",\n", suite.c_str());
-  std::fprintf(out, "  \"scale\": \"%s\",\n", scale.c_str());
-  std::fprintf(out, "  \"build\": \"%s\",\n", build);
-  std::fprintf(out, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(out, "  \"threads\": %zu,\n", ThreadPool::shared().size());
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const BenchEntry& e = entries[i];
-    std::fprintf(out, "    {\"name\": \"%s\", \"params\": {", e.name.c_str());
-    for (std::size_t p = 0; p < e.params.size(); ++p) {
-      std::fprintf(out, "%s\"%s\": %lld", p ? ", " : "",
-                   e.params[p].first.c_str(), e.params[p].second);
-    }
-    std::fprintf(out, "}, \"median_ms\": %.6f", e.median_ms);
-    if (e.baseline_median_ms >= 0.0) {
-      std::fprintf(out, ", \"baseline_median_ms\": %.6f, \"speedup\": %.3f",
-                   e.baseline_median_ms,
-                   e.baseline_median_ms / std::max(e.median_ms, 1e-12));
-    }
-    std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
-
-// ---------------------------------------------------------------------------
-// Pre-PR scalar baselines, replicated verbatim (do NOT "optimize" these:
-// they are the yardstick the checked-in speedups are measured against).
-
-/// Two-pass column standardization as ted.cpp had it before the Welford
-/// rewrite (satellite fix in this PR).
-void two_pass_standardize(dense::Matrix& x) {
-  if (x.empty()) return;
-  const double n = static_cast<double>(x.rows);
-  for (std::size_t c = 0; c < x.cols; ++c) {
-    double sum = 0.0;
-    for (std::size_t r = 0; r < x.rows; ++r) sum += x.at(r, c);
-    const double mean = sum / n;
-    double var = 0.0;
-    for (std::size_t r = 0; r < x.rows; ++r) {
-      const double d = x.at(r, c) - mean;
-      var += d * d;
-    }
-    const double stddev = std::sqrt(var / n);
-    for (std::size_t r = 0; r < x.rows; ++r) {
-      x.at(r, c) = stddev < 1e-12 ? 0.0 : (x.at(r, c) - mean) / stddev;
-    }
-  }
-}
-
-/// The scalar TED exactly as core/ted.cpp implemented it before this PR:
-/// per-pair distance loops, full materialized kernel, per-pick column-norm
-/// rescan, scalar read-modify-write deflation.
-std::vector<std::size_t> ted_select_scalar(
-    std::vector<std::vector<double>> x, std::size_t m,
-    const TedParams& params = {}) {
-  const std::size_t n = x.size();
-  if (n == 0) return {};
-  m = std::min(m, n);
-  standardize_columns(x);
-  std::vector<double> dist(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < x[i].size(); ++c) {
-        const double d = x[i][c] - x[j][c];
-        acc += d * d;
-      }
-      dist[i * n + j] = dist[j * n + i] = std::sqrt(acc);
-    }
-  }
-  std::vector<double> k(n * n, 0.0);
-  if (params.kernel == TedKernel::kEuclideanDistance) {
-    k = dist;
-  } else {
-    double sigma = params.rbf_sigma;
-    if (sigma <= 0.0) {
-      std::vector<double> off;
-      off.reserve(n * (n - 1) / 2);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) off.push_back(dist[i * n + j]);
-      }
-      sigma = off.empty() ? 1.0 : std::max(1e-9, median(std::move(off)));
-    }
-    const double inv = 1.0 / (2.0 * sigma * sigma);
-    for (std::size_t i = 0; i < n * n; ++i) {
-      k[i] = std::exp(-dist[i] * dist[i] * inv);
-    }
-  }
-  std::vector<std::size_t> selected;
-  std::vector<bool> taken(n, false);
-  std::vector<double> col(n);
-  for (std::size_t pick = 0; pick < m; ++pick) {
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_v = n;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (taken[v]) continue;
-      double norm_sq = 0.0;
-      for (std::size_t u = 0; u < n; ++u) {
-        norm_sq += k[v * n + u] * k[v * n + u];
-      }
-      const double score = norm_sq / (std::max(k[v * n + v], 0.0) + params.mu);
-      if (score > best_score) {
-        best_score = score;
-        best_v = v;
-      }
-    }
-    taken[best_v] = true;
-    selected.push_back(best_v);
-    const double denom = std::max(k[best_v * n + best_v], 0.0) + params.mu;
-    for (std::size_t u = 0; u < n; ++u) col[u] = k[best_v * n + u];
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ci = col[i] / denom;
-      if (ci == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) k[i * n + j] -= ci * col[j];
-    }
-  }
-  return selected;
-}
-
-/// ConfigSpace::feature_neighborhood as it was before the per-knob distance
-/// kernel: per attempt, copy the centre's choices, mutate 1-3 knobs,
-/// make(), probe an unordered_set and re-featurize the whole candidate.
-std::vector<Config> feature_neighborhood_loop(const ConfigSpace& space,
-                                              const Config& center,
-                                              double radius,
-                                              std::size_t max_points,
-                                              Rng& rng) {
-  std::vector<Config> out;
-  if (max_points == 0) return out;
-
-  const std::vector<double> center_feats = space.features(center);
-  const double r2 = radius * radius;
-  std::unordered_set<std::int64_t> seen{center.flat};
-  const std::size_t max_attempts = max_points * 60 + 400;
-  std::vector<double> feats;
-  feats.reserve(static_cast<std::size_t>(space.feature_dim()));
-
-  for (std::size_t attempt = 0;
-       attempt < max_attempts && out.size() < max_points; ++attempt) {
-    std::vector<std::int32_t> choices = center.choices;
-    const auto mutations = 1 + rng.next_index(3);
-    for (std::uint64_t m = 0; m < mutations; ++m) {
-      const auto k =
-          static_cast<std::size_t>(rng.next_index(space.num_knobs()));
-      choices[k] = static_cast<std::int32_t>(rng.next_index(
-          static_cast<std::uint64_t>(space.knob(k).size())));
-    }
-    Config candidate = space.make(std::move(choices));
-    if (seen.contains(candidate.flat)) continue;
-
-    feats.clear();
-    for (std::size_t i = 0; i < space.num_knobs(); ++i) {
-      space.knob(i).append_features(candidate.choices[i], feats);
-    }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < feats.size() && acc <= r2; ++i) {
-      const double d = feats[i] - center_feats[i];
-      acc += d * d;
-    }
-    if (acc > r2) continue;
-    seen.insert(candidate.flat);
-    if (space.num_constraints() > 0 && !space.feasible(candidate)) continue;
-    out.push_back(std::move(candidate));
-  }
-
-  if (out.empty() && space.size() >= 2) {
-    for (int i = 0; i < 64 && out.empty(); ++i) {
-      Config c = space.sample(rng);
-      if (c.flat != center.flat) out.push_back(std::move(c));
-    }
-  }
-  return out;
-}
-
-/// Gbdt::predict as it was before the tree-lockstep walk: each tree walked
-/// to its leaf in turn through the branchy, checked DecisionTree::predict.
-double gbdt_predict_per_tree(const Gbdt& model, std::span<const double> row) {
-  double acc = 0.0;
-  for (const DecisionTree& tree : model.trees()) {
-    acc += model.learning_rate() * tree.predict(row);
-  }
-  return model.base() + model.scale() * acc;
-}
-
-Config sa_mutate_reference(const ConfigSpace& space, const Config& config,
-                           Rng& rng) {
-  // Resample one knob (retry if the knob has a single entity).
-  std::vector<std::int32_t> choices = config.choices;
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    const auto knob_idx =
-        static_cast<std::size_t>(rng.next_index(space.num_knobs()));
-    const std::int64_t size = space.knob(knob_idx).size();
-    if (size <= 1) continue;
-    auto v = static_cast<std::int32_t>(rng.next_index(
-        static_cast<std::uint64_t>(size)));
-    if (v == choices[knob_idx]) v = (v + 1) % static_cast<std::int32_t>(size);
-    choices[knob_idx] = v;
-    return space.make(std::move(choices));
-  }
-  return config;  // fully degenerate space
-}
-
-/// SaOptimizer::maximize as it was before the full-set pre-check in offer:
-/// every proposal not excluded is inserted into the top-k map (a node and a
-/// Config copy) and the worst entry erased again.
-std::vector<Config> sa_maximize_reference(
-    const ConfigSpace& space, const SaParams& params,
-    const std::function<double(const Config&)>& score, int k, Rng& rng,
-    const std::unordered_set<std::int64_t>& exclude) {
-  struct Chain {
-    Config state;
-    double energy;
-  };
-  std::vector<Chain> chains;
-  chains.reserve(static_cast<std::size_t>(params.num_chains));
-  for (int i = 0; i < params.num_chains; ++i) {
-    Config c = space.sample(rng);
-    const double e = score(c);
-    chains.push_back(Chain{std::move(c), e});
-  }
-
-  std::map<std::pair<double, std::int64_t>, Config> top;
-  auto offer = [&](const Config& c, double e) {
-    if (exclude.contains(c.flat)) return;
-    const std::pair<double, std::int64_t> key{-e, c.flat};
-    if (top.contains(key)) return;
-    top.emplace(key, c);
-    if (top.size() > static_cast<std::size_t>(k)) {
-      top.erase(std::prev(top.end()));
-    }
-  };
-  for (const Chain& c : chains) offer(c.state, c.energy);
-
-  double spread = 1e-9;
-  for (const Chain& c : chains) {
-    spread = std::max(spread, std::abs(c.energy));
-  }
-
-  for (int iter = 0; iter < params.iterations; ++iter) {
-    const double progress =
-        params.iterations <= 1
-            ? 1.0
-            : static_cast<double>(iter) / (params.iterations - 1);
-    const double temp =
-        params.temp_start + (params.temp_end - params.temp_start) * progress;
-    for (Chain& chain : chains) {
-      Config proposal = sa_mutate_reference(space, chain.state, rng);
-      if (proposal.flat == chain.state.flat) continue;
-      const double e = score(proposal);
-      offer(proposal, e);
-      const double delta = (e - chain.energy) / (spread * std::max(temp, 1e-6));
-      if (delta >= 0.0 || rng.next_double() < std::exp(delta)) {
-        chain.state = std::move(proposal);
-        chain.energy = e;
-      }
-    }
-  }
-
-  std::vector<Config> out;
-  out.reserve(top.size());
-  for (auto& [key, config] : top) out.push_back(std::move(config));
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Inputs
@@ -464,7 +173,7 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
     });
     e.baseline_median_ms = time_median_ms(repeats, smoke ? 50 : 100, [&] {
       scratch = x;
-      two_pass_standardize(scratch);
+      reference::two_pass_standardize(scratch);
       sink(scratch.at(0, 0));
     });
     out.push_back(std::move(e));
@@ -492,7 +201,7 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
         sink(static_cast<double>(ted_select(x, s.m)[0]));
       });
       e.baseline_median_ms = time_median_ms(repeats, s.iters, [&] {
-        sink(static_cast<double>(ted_select_scalar(rows, s.m)[0]));
+        sink(static_cast<double>(reference::ted_select(rows, s.m)[0]));
       });
       out.push_back(std::move(e));
     }
@@ -582,7 +291,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       e.baseline_median_ms = time_median_ms(repeats, smoke ? 40 : 20, [&] {
         double acc = 0.0;
         for (std::size_t i = 0; i < batch.rows; ++i) {
-          acc += gbdt_predict_per_tree(
+          acc += reference::per_tree_sum(
               model, std::span<const double>{batch.row(i), batch.cols});
         }
         sink(acc);
@@ -602,7 +311,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       const std::span<const double> row{batch.row(i), batch.cols};
       AAL_CHECK(std::bit_cast<std::uint64_t>(model.predict(row)) ==
                     std::bit_cast<std::uint64_t>(
-                        gbdt_predict_per_tree(model, row)),
+                        reference::per_tree_sum(model, row)),
                 "lockstep predict diverged from the per-tree walk");
     }
     BenchEntry e{"gbt_predict_row",
@@ -619,7 +328,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
     e.baseline_median_ms = time_median_ms(repeats, smoke ? 40 : 20, [&] {
       double acc = 0.0;
       for (std::size_t i = 0; i < batch.rows; ++i) {
-        acc += gbdt_predict_per_tree(
+        acc += reference::per_tree_sum(
             model, std::span<const double>{batch.row(i), batch.cols});
       }
       sink(acc);
@@ -666,7 +375,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       std::uint64_t next_draw = 0;
       std::int64_t calls = 0;
     };
-    const auto run_all = [&](bool reference) {
+    const auto run_all = [&](bool use_reference) {
       std::vector<SaRun> runs;
       for (std::size_t i = 0; i < cases.size(); ++i) {
         const SaCase& c = cases[i];
@@ -680,16 +389,18 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
               const auto it = memo.find(config.flat);
               if (it != memo.end()) return it->second;
               space.features_into(config, row);
-              const double s = reference ? gbdt_predict_per_tree(c.model, row)
-                                         : c.model.predict(row);
+              const double s = use_reference
+                                   ? reference::per_tree_sum(c.model, row)
+                                   : c.model.predict(row);
               memo.emplace(config.flat, s);
               return s;
             };
         Rng rng(91 + i);
-        run.top = reference ? sa_maximize_reference(space, sa_params, score,
-                                                    k, rng, c.exclude)
-                            : SaOptimizer(space, sa_params)
-                                  .maximize(score, k, rng, c.exclude);
+        run.top = use_reference
+                      ? reference::sa_maximize(space, sa_params, score, k, rng,
+                                               c.exclude)
+                      : SaOptimizer(space, sa_params)
+                            .maximize(score, k, rng, c.exclude);
         run.next_draw = rng();
         runs.push_back(std::move(run));
       }
@@ -742,7 +453,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
         Rng a(71), b(71);
         const auto got = space->feature_neighborhood(center, radius, cap, a);
         const auto want =
-            feature_neighborhood_loop(*space, center, radius, cap, b);
+            reference::feature_neighborhood(*space, center, radius, cap, b);
         AAL_CHECK(got.size() == want.size() && a() == b(),
                   "feature_neighborhood diverged from the rejection loop");
         for (std::size_t i = 0; i < got.size(); ++i) {
@@ -768,7 +479,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
         double acc = 0.0;
         for (const auto& [space, center] : centres) {
           acc += static_cast<double>(
-              feature_neighborhood_loop(*space, center, radius, cap, r)
+              reference::feature_neighborhood(*space, center, radius, cap, r)
                   .size());
         }
         sink(acc);
@@ -810,26 +521,6 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       double acc = 0.0;
       for (const Config& c : configs) acc += ttask.profile(c).base_time_us;
       sink(acc);
-    });
-    out.push_back(std::move(e));
-  }
-
-  {  // End-to-end pipeline wall clock: tune_model over AlexNet with the
-     // full advanced framework (BTED init + BAO rounds), the path every
-     // batched-scoring change ultimately serves. Optimized-only — there is
-     // no preserved scalar pipeline — tracked for trend monitoring.
-    const Graph model = make_alexnet();
-    const TunerFactory factory = bted_bao_tuner_factory();
-    ModelTuneOptions options;
-    options.tune.budget = smoke ? 16 : 48;
-    options.tune.early_stopping = smoke ? 8 : 24;
-    BenchEntry e{"tune_model_wall",
-                 {{"budget", options.tune.budget},
-                  {"early_stop", options.tune.early_stopping}}};
-    e.median_ms = time_median_ms(repeats, 1, [&] {
-      const ModelTuneReport report =
-          tune_model(model, make_target(target), factory, options);
-      sink(static_cast<double>(report.total_measured()));
     });
     out.push_back(std::move(e));
   }
@@ -887,12 +578,5 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::FILE* out = out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  write_json(out, suite, scale, repeats, entries);
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return bench::write_json(out_path, suite, scale, repeats, entries);
 }

@@ -8,7 +8,7 @@
 #include "exp_common.hpp"
 #include "graph/fusion.hpp"
 #include "graph/models.hpp"
-#include "space/schedule_template.hpp"
+#include "space/template_registry.hpp"
 #include "support/string_util.hpp"
 
 int main() {
@@ -20,6 +20,7 @@ int main() {
   double grand_total = 0.0;
   std::int64_t grand_tasks = 0;
   std::int64_t grand_max = 0;
+  const TargetSpec target = make_target("gpu-pascal");
 
   for (const auto& name : model_zoo_names()) {
     const Graph model = make_model(name);
@@ -31,7 +32,8 @@ int main() {
     TextTable table;
     table.set_header({"task", "layers", "space size", "feature dim"});
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const ConfigSpace space = build_config_space(tasks[i].workload);
+      const ConfigSpace space =
+          TemplateRegistry::instance().build(tasks[i].workload, target);
       table.add_row({tasks[i].workload.brief(),
                      std::to_string(tasks[i].count()),
                      format_count(space.size()),

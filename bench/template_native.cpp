@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "graph/fusion.hpp"
 #include "graph/graph.hpp"
 #include "hwsim/target.hpp"
@@ -38,58 +39,12 @@
 #include "obs/metrics.hpp"
 #include "pipeline/model_tuner.hpp"
 #include "support/logging.hpp"
-#include "support/thread_pool.hpp"
+#include "support/stats.hpp"
 
 namespace {
 
 using namespace aal;
-
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n % 2 ? samples[n / 2]
-               : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, long long>> params;
-  double median_ms = 0.0;
-  double baseline_median_ms = 0.0;  // > 0: emit baseline + speedup
-};
-
-void write_json(std::FILE* out, const std::string& scale, int repeats,
-                const std::vector<BenchEntry>& entries) {
-#ifdef NDEBUG
-  const char* build = "Release";
-#else
-  const char* build = "Debug";
-#endif
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"aaltune-bench/v1\",\n");
-  std::fprintf(out, "  \"suite\": \"template_native\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n", scale.c_str());
-  std::fprintf(out, "  \"build\": \"%s\",\n", build);
-  std::fprintf(out, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(out, "  \"threads\": %zu,\n", ThreadPool::shared().size());
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const BenchEntry& e = entries[i];
-    std::fprintf(out, "    {\"name\": \"%s\", \"params\": {", e.name.c_str());
-    for (std::size_t p = 0; p < e.params.size(); ++p) {
-      std::fprintf(out, "%s\"%s\": %lld", p ? ", " : "",
-                   e.params[p].first.c_str(), e.params[p].second);
-    }
-    std::fprintf(out, "}, \"median_ms\": %.6f", e.median_ms);
-    if (e.baseline_median_ms > 0.0) {
-      std::fprintf(out, ", \"baseline_median_ms\": %.6f, \"speedup\": %.3f",
-                   e.baseline_median_ms,
-                   e.baseline_median_ms / e.median_ms);
-    }
-    std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
+using bench::BenchEntry;
 
 [[noreturn]] void fail(const std::string& what) {
   std::fprintf(stderr, "template_native: FAILED: %s\n", what.c_str());
@@ -255,16 +210,6 @@ int main(int argc, char** argv) {
                        median(std::move(native_ms)), cuda_median});
   }
 
-  std::FILE* out = stdout;
-  if (!out_path.empty()) {
-    out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "template_native: cannot open %s\n",
-                   out_path.c_str());
-      return 1;
-    }
-  }
-  write_json(out, scale, repeats, entries);
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return bench::write_json(out_path, "template_native", scale, repeats,
+                           entries);
 }

@@ -22,7 +22,6 @@
 // Usage: transfer_warm [--repeats N] [--scale full|smoke] [--out FILE].
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,66 +30,20 @@
 #include <utility>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "graph/graph.hpp"
-#include "hwsim/gpu_spec.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/model_tuner.hpp"
 #include "store/record_store.hpp"
 #include "support/logging.hpp"
-#include "support/thread_pool.hpp"
+#include "support/stats.hpp"
 #include "transfer/transfer_prior.hpp"
 
 namespace {
 
 using namespace aal;
+using bench::BenchEntry;
 namespace fs = std::filesystem;
-
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n % 2 ? samples[n / 2]
-               : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-}
-
-struct BenchEntry {
-  std::string name;
-  std::vector<std::pair<std::string, long long>> params;
-  double median_ms = 0.0;
-  double baseline_median_ms = 0.0;  // > 0: emit baseline + speedup
-};
-
-void write_json(std::FILE* out, const std::string& scale, int repeats,
-                const std::vector<BenchEntry>& entries) {
-#ifdef NDEBUG
-  const char* build = "Release";
-#else
-  const char* build = "Debug";
-#endif
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"aaltune-bench/v1\",\n");
-  std::fprintf(out, "  \"suite\": \"transfer\",\n");
-  std::fprintf(out, "  \"scale\": \"%s\",\n", scale.c_str());
-  std::fprintf(out, "  \"build\": \"%s\",\n", build);
-  std::fprintf(out, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(out, "  \"threads\": %zu,\n", ThreadPool::shared().size());
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const BenchEntry& e = entries[i];
-    std::fprintf(out, "    {\"name\": \"%s\", \"params\": {", e.name.c_str());
-    for (std::size_t p = 0; p < e.params.size(); ++p) {
-      std::fprintf(out, "%s\"%s\": %lld", p ? ", " : "",
-                   e.params[p].first.c_str(), e.params[p].second);
-    }
-    std::fprintf(out, "}, \"median_ms\": %.6f", e.median_ms);
-    if (e.baseline_median_ms > 0.0) {
-      std::fprintf(out, ", \"baseline_median_ms\": %.6f, \"speedup\": %.3f",
-                   e.baseline_median_ms,
-                   e.baseline_median_ms / e.median_ms);
-    }
-    std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
 
 [[noreturn]] void fail(const std::string& what) {
   std::fprintf(stderr, "transfer_warm: FAILED: %s\n", what.c_str());
@@ -160,7 +113,8 @@ TimedTune timed_tune(const Graph& g, const TuneShape& shape,
   options.transfer.enabled = transfer;
   const auto t0 = std::chrono::steady_clock::now();
   const ModelTuneReport report =
-      tune_model(g, GpuSpec::gtx1080ti(), bted_bao_tuner_factory(), options);
+      tune_model(g, make_target("gpu-pascal"), bted_bao_tuner_factory(),
+                 options);
   const auto t1 = std::chrono::steady_clock::now();
   if (transfer) {
     const std::int64_t tasks = static_cast<std::int64_t>(report.tasks.size());
@@ -192,7 +146,7 @@ double timed_prior_build(const RecordStore& store) {
   w.kernel_w = 3;
   w.pad_h = 1;
   w.pad_w = 1;
-  const TuningTask task(Workload::conv2d(w), GpuSpec::gtx1080ti());
+  const TuningTask task(Workload::conv2d(w), make_target("gpu-pascal"));
   TransferParams params;
   params.enabled = true;
   const auto t0 = std::chrono::steady_clock::now();
@@ -309,17 +263,8 @@ int main(int argc, char** argv) {
          median(std::move(build_ms))});
   }
 
-  std::FILE* out = stdout;
-  if (!out_path.empty()) {
-    out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "transfer_warm: cannot open %s\n",
-                   out_path.c_str());
-      return 1;
-    }
-  }
-  write_json(out, scale, repeats, entries);
-  if (out != stdout) std::fclose(out);
+  const int rc =
+      bench::write_json(out_path, "transfer", scale, repeats, entries);
   fs::remove_all(dir);
-  return 0;
+  return rc;
 }

@@ -1,4 +1,4 @@
-// Tuner shoot-out on one layer: random, grid, GA, AutoTVM (XGB+SA), BTED
+// Tuner shoot-out on one layer: random, GA, AutoTVM (XGB+SA), BTED
 // and BTED+BAO share the same budget and measurement-noise stream, then
 // report measured best, true (noise-free) best and budget spent.
 //
@@ -11,12 +11,12 @@
 #include "core/bted.hpp"
 #include "graph/fusion.hpp"
 #include "graph/models.hpp"
+#include "hwsim/target.hpp"
 #include "pipeline/model_tuner.hpp"
 #include "support/logging.hpp"
 #include "support/string_util.hpp"
 #include "tuner/chameleon_tuner.hpp"
 #include "tuner/ga_tuner.hpp"
-#include "tuner/grid_tuner.hpp"
 #include "tuner/random_tuner.hpp"
 #include "tuner/xgb_tuner.hpp"
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   // The layer: VGG-16's conv3-256 (a mid-size, compute-bound kernel).
   const auto tasks = extract_tasks(fuse(make_vgg16()));
   Workload workload = tasks[4].workload;
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec target = make_target("gpu-pascal");
   std::printf("layer: %s\n", workload.brief().c_str());
   std::printf("budget: %lld configurations, early stopping disabled\n\n",
               static_cast<long long>(budget));
@@ -38,26 +38,26 @@ int main(int argc, char** argv) {
     const char* label;
     std::unique_ptr<Tuner> tuner;
   };
-  Arm arms[7];
+  Arm arms[6];
   arms[0] = {"random", std::make_unique<RandomTuner>()};
-  arms[1] = {"grid", std::make_unique<GridTuner>()};
-  arms[2] = {"ga", std::make_unique<GaTuner>()};
-  arms[3] = {"autotvm (xgb+sa)", std::make_unique<XgbTuner>()};
-  arms[4] = {"chameleon-style", std::make_unique<ChameleonTuner>()};
+  arms[1] = {"ga", std::make_unique<GaTuner>()};
+  arms[2] = {"autotvm (xgb+sa)", std::make_unique<XgbTuner>()};
+  arms[3] = {"chameleon-style", std::make_unique<ChameleonTuner>()};
   {
     auto bted = std::make_unique<XgbTuner>(
         std::make_shared<GbdtSurrogateFactory>(), bted_init_sampler());
     bted->set_name("bted");
-    arms[5] = {"bted init + xgb", std::move(bted)};
+    arms[4] = {"bted init + xgb", std::move(bted)};
   }
-  arms[6] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
+  arms[5] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
 
   TextTable table;
   table.set_header(
       {"tuner", "configs", "measured best", "true best", "% of peak"});
   for (Arm& arm : arms) {
-    TuningTask task(workload, gpu);
-    SimulatedDevice device(gpu, /*seed=*/31337);  // same noise stream per arm
+    TuningTask task(workload, target);
+    // Same noise stream per arm.
+    SimulatedDevice device(target, /*seed=*/31337);
     Measurer measurer(task, device);
     TuneOptions options;
     options.budget = budget;
@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
     table.add_row({arm.label, std::to_string(result.num_measured),
                    format_double(result.best_gflops(), 1),
                    format_double(true_gflops, 1),
-                   format_double(100.0 * true_gflops / gpu.peak_gflops(), 1)});
+                   format_double(
+                       100.0 * true_gflops / target.peak_gflops(), 1)});
   }
   std::printf("%s", table.to_string().c_str());
   return 0;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   // 1. A model graph. Embedders can build graphs programmatically (see
   //    examples/custom_model.cpp) or pull one from the zoo.
   const Graph model = make_model("squeezenet_v11");
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
 
   // 2. A persistent record store shared across runs.
   const std::string store_dir =

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   set_log_threshold(LogLevel::kWarn);
 
   const std::int64_t budget = argc > 1 ? std::atoll(argv[1]) : 150;
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
   const Graph model = make_resnet18();
 
   // 1. Tune with the AutoTVM arm; the transfer context warm-starts each

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   set_log_threshold(LogLevel::kWarn);
 
   const std::int64_t budget = argc > 1 ? std::atoll(argv[1]) : 200;
-  const GpuSpec gpu = GpuSpec::gtx1080ti();
+  const TargetSpec gpu = make_target("gpu-pascal");
   const Graph model = make_mobilenet_v1();
   std::printf("model: %s, %zu nodes, %.2f GFLOPs per inference\n",
               model.name().c_str(), model.size(),

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in benchmark baselines (BENCH_kernels.json,
-# BENCH_tuner.json from bench/micro_kernels; BENCH_serve.json from
-# bench/serve_load; BENCH_transfer.json from bench/transfer_warm;
-# BENCH_templates.json from bench/template_native) from a
+# BENCH_tuner.json from bench/micro_kernels; BENCH_transfer.json from
+# bench/transfer_warm; BENCH_templates.json from bench/template_native;
+# the daemon is timed end to end by perfbench's serve-mixed workload) from a
 # Release build, then validates them against the
 # aaltune-bench/v1 schema. See docs/PERF.md for methodology and the schema
 # definition.
@@ -48,7 +48,7 @@ esac
 
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" \
-  --target micro_kernels serve_load transfer_warm template_native \
+  --target micro_kernels transfer_warm template_native \
   -j >/dev/null
 
 for suite in kernels tuner; do
@@ -57,13 +57,6 @@ for suite in kernels tuner; do
   "$BUILD_DIR/bench/micro_kernels" \
     --suite "$suite" --repeats "$REPEATS" --scale "$SCALE" --out "$out"
 done
-
-# The serve suite audits itself (any lost or duplicated job aborts the
-# run), so a successful emit is also a daemon-core load test.
-out="$OUT_DIR/BENCH_serve.json"
-echo "bench: suite=serve scale=$SCALE repeats=$REPEATS -> $out"
-"$BUILD_DIR/bench/serve_load" \
-  --repeats "$REPEATS" --scale "$SCALE" --out "$out"
 
 # The transfer suite audits itself too: it aborts unless the warm run
 # activates a prior on every task and halves the cold run's measured-config
@@ -85,7 +78,7 @@ echo "bench: suite=template_native scale=$SCALE repeats=$REPEATS -> $out"
 # baseline entry (including the per-target profile_batch:<name> rows) must
 # still be emitted, so a dropped or renamed benchmark fails here instead of
 # silently vanishing from the comparison.
-for stem in kernels tuner serve transfer templates; do
+for stem in kernels tuner transfer templates; do
   covers=()
   if [ -f "$ROOT/BENCH_${stem}.json" ]; then
     covers=(--covers "$ROOT/BENCH_${stem}.json")

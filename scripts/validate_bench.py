@@ -17,7 +17,7 @@ import json
 import sys
 
 SCHEMA = "aaltune-bench/v1"
-SUITES = {"kernels", "tuner", "serve", "transfer", "template_native"}
+SUITES = {"kernels", "tuner", "transfer", "template_native"}
 SCALES = {"full", "smoke"}
 TOP_KEYS = {"schema", "suite", "scale", "build", "repeats", "threads", "results"}
 RESULT_REQUIRED = {"name", "params", "median_ms"}

@@ -9,9 +9,6 @@ namespace aal {
 SimulatedDevice::SimulatedDevice(TargetSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {}
 
-SimulatedDevice::SimulatedDevice(const GpuSpec& spec, std::uint64_t seed)
-    : SimulatedDevice(TargetSpec::from_gpu(spec), seed) {}
-
 double SimulatedDevice::sample_time_us(const KernelProfile& profile,
                                        std::int64_t config_flat,
                                        int repeat) const {

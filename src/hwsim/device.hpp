@@ -78,10 +78,6 @@ class SimulatedDevice : public Device {
  public:
   explicit SimulatedDevice(TargetSpec spec, std::uint64_t seed = 1);
 
-  /// Compatibility: wraps a raw GpuSpec as a GPU target (the historical
-  /// single-backend spelling used throughout tests and benches).
-  explicit SimulatedDevice(const GpuSpec& spec, std::uint64_t seed = 1);
-
   using Device::run;
 
   const TargetSpec& spec() const override { return spec_; }

@@ -53,22 +53,23 @@ double fixed_op_latency_at(const Op& op, const std::vector<TensorType>& inputs,
   return launch_us + traffic / bw_bytes_per_us;
 }
 
-}  // namespace
-
-double fixed_op_latency_us(const Op& op, const std::vector<TensorType>& inputs,
-                           const GpuSpec& spec) {
-  // Effective bandwidth of simple memory-bound kernels: ~75% of peak.
-  // Fixed-function kernels launch back-to-back on one stream, so they pay a
-  // reduced share of the launch overhead.
+/// Effective bandwidth of simple memory-bound kernels: ~75% of peak.
+/// Fixed-function kernels launch back-to-back on one stream, so they pay a
+/// reduced share of the launch overhead.
+double gpu_fixed_op_latency_us(const Op& op,
+                               const std::vector<TensorType>& inputs,
+                               const GpuSpec& spec) {
   return fixed_op_latency_at(op, inputs, spec.dram_bw_gbps * 1e3 * 0.75,
                              spec.kernel_launch_overhead_us * 0.6);
 }
+
+}  // namespace
 
 double fixed_op_latency_us(const Op& op, const std::vector<TensorType>& inputs,
                            const TargetSpec& target) {
   switch (target.kind) {
     case TargetKind::kGpu:
-      return fixed_op_latency_us(op, inputs, target.gpu);
+      return gpu_fixed_op_latency_us(op, inputs, target.gpu);
     case TargetKind::kCpu:
       // CPU fixed ops skip the kernel-launch path entirely (they run inline
       // in the host thread pool), but stream at a lower bandwidth fraction:

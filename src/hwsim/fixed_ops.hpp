@@ -8,21 +8,16 @@
 
 #include <vector>
 
-#include "hwsim/gpu_spec.hpp"
 #include "hwsim/target.hpp"
 #include "ir/op.hpp"
 #include "tensor/shape.hpp"
 
 namespace aal {
 
-/// Deterministic latency (microseconds) of one fixed-function op. Returns 0
-/// for ops with no runtime kernel (input, flatten, inference-time dropout).
-double fixed_op_latency_us(const Op& op, const std::vector<TensorType>& inputs,
-                           const GpuSpec& spec);
-
-/// Backend-neutral overload: the same bandwidth-bound cost model, charged
-/// at the target's off-chip bandwidth and launch overhead. The GPU path is
-/// identical to the GpuSpec overload.
+/// Deterministic latency (microseconds) of one fixed-function op: a
+/// bandwidth-bound cost model charged at the target's off-chip bandwidth
+/// and launch overhead. Returns 0 for ops with no runtime kernel (input,
+/// flatten, inference-time dropout).
 double fixed_op_latency_us(const Op& op, const std::vector<TensorType>& inputs,
                            const TargetSpec& target);
 

@@ -160,25 +160,25 @@ TargetSpec TargetSpec::from_gpu(const GpuSpec& spec) {
   t.kind = TargetKind::kGpu;
   t.gpu = spec;
   t.device_name = spec.name;
-  const std::string device = spec.name;
-  if (device == "GeForce GTX 1080 Ti") {
-    t.name = "gpu-pascal";
-  } else if (device == "Tesla V100") {
-    t.name = "gpu-volta";
-  } else if (device == "small-embedded") {
-    t.name = "gpu-embedded";
-  } else {
-    // Fingerprint-qualified: distinct custom machines get distinct names
-    // (and therefore distinct "@target"-qualified store keys). The bare
-    // "gpu-custom" of earlier releases made every unknown GPU share one
-    // key namespace, leaking records — and transfer priors — across
-    // unrelated machines.
-    char suffix[20];
-    std::snprintf(suffix, sizeof(suffix), "%08llx",
-                  static_cast<unsigned long long>(
-                      gpu_spec_fingerprint(spec) & 0xFFFFFFFFULL));
-    t.name = std::string("gpu-custom-") + suffix;
+  // Only a spec identical to a registered GPU target's (every field, by
+  // fingerprint) takes its registry name: a registered device label with
+  // changed numbers is a different machine and must not share its store
+  // keys or transfer priors.
+  const std::uint64_t fingerprint = gpu_spec_fingerprint(spec);
+  for (const RegistryEntry& e : kRegistry) {
+    const TargetSpec registered = e.make();
+    if (registered.kind == TargetKind::kGpu &&
+        gpu_spec_fingerprint(registered.gpu) == fingerprint) {
+      t.name = registered.name;
+      return t;
+    }
   }
+  // Fingerprint-qualified: distinct custom machines get distinct names
+  // (and therefore distinct "@target"-qualified store keys).
+  char suffix[20];
+  std::snprintf(suffix, sizeof(suffix), "%08llx",
+                static_cast<unsigned long long>(fingerprint & 0xFFFFFFFFULL));
+  t.name = std::string("gpu-custom-") + suffix;
   return t;
 }
 

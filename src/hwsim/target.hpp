@@ -136,10 +136,11 @@ struct TargetSpec {
   /// Per-kernel launch/dispatch overhead of the active backend in us.
   double launch_overhead_us() const;
 
-  /// Wraps a raw GpuSpec as a GPU target (compatibility path for the many
-  /// call sites that still speak GpuSpec). Known specs map back to their
-  /// registry names; unknown ones get a fingerprint-qualified name
-  /// ("gpu-custom-xxxxxxxx" over the spec's fields) so two distinct custom
+  /// Wraps a raw GpuSpec as a GPU target: the entry point for custom
+  /// devices. A spec equal in every field to a registered GPU target's maps
+  /// to that registry name; any other (including a registered device label
+  /// with changed numbers) gets a fingerprint-qualified name
+  /// ("gpu-custom-xxxxxxxx" over the spec's fields) so two distinct
   /// machines never share a store key namespace — a shared name would leak
   /// tuning records and transfer priors across unrelated hardware.
   static TargetSpec from_gpu(const GpuSpec& spec);

@@ -39,11 +39,6 @@ class TuningTask {
     space_.set_constraints(model_->constraints());
   }
 
-  /// Compatibility: binds the workload to a raw GpuSpec (the historical
-  /// single-backend spelling).
-  TuningTask(Workload workload, const GpuSpec& spec)
-      : TuningTask(std::move(workload), TargetSpec::from_gpu(spec)) {}
-
   const Workload& workload() const { return workload_; }
   const ConfigSpace& space() const { return space_; }
   const TargetSpec& target() const { return model_->target(); }

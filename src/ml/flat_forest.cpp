@@ -1,8 +1,6 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "support/thread_pool.hpp"
 
@@ -66,22 +64,7 @@ void walk_block(const FlatNode* nodes, const std::int32_t* roots,
   for (std::size_t r = 0; r < nr; ++r) out[begin + r] = base + scale * acc[r];
 }
 
-bool initial_batch_enabled() {
-  const char* env = std::getenv("AAL_SCALAR_SCORING");
-  return !(env != nullptr && env[0] == '1');
-}
-
-std::atomic<bool> g_batch_enabled{initial_batch_enabled()};
-
 }  // namespace
-
-bool batch_scoring_enabled() {
-  return g_batch_enabled.load(std::memory_order_relaxed);
-}
-
-void set_batch_scoring_enabled(bool enabled) {
-  g_batch_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 FlatTree FlatTree::flatten(const DecisionTree& tree) {
   AAL_CHECK(tree.fitted(), "cannot flatten an unfitted tree");

@@ -13,10 +13,8 @@
 // The engine is pinned bitwise-identical to the scalar reference: per row
 // the leaf values are accumulated in tree order as `acc += lr * leaf` and
 // finished as `base + scale * acc`, exactly the expression sequence of the
-// per-tree DecisionTree::predict sum (tests/ml/test_batch_predict.cpp). The
-// process-wide scalar fallback (AAL_SCALAR_SCORING=1 or
-// set_batch_scoring_enabled) routes every Gbdt call, single-row and
-// batched, back through that per-tree sum for A/B debugging.
+// per-tree DecisionTree::predict sum (tests/reference/reference_impls.hpp,
+// pinned by tests/ml/test_batch_predict.cpp).
 #pragma once
 
 #include <cstdint>
@@ -26,14 +24,6 @@
 #include "ml/decision_tree.hpp"
 
 namespace aal {
-
-/// True (default) when batched scoring may use the flattened engine; false
-/// forces the scalar per-row fallback everywhere (set at startup with
-/// AAL_SCALAR_SCORING=1, or per-test via set_batch_scoring_enabled). Both
-/// paths produce bitwise-identical results; the switch exists so the
-/// equivalence can be audited on any end-to-end run.
-bool batch_scoring_enabled();
-void set_batch_scoring_enabled(bool enabled);
 
 /// One level-order node. Splits: go to `left` when x[feature] <=
 /// thr_or_value, else `right` (right == left + 1 by construction). Leaves:

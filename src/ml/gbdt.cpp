@@ -38,9 +38,9 @@ void Gbdt::fit(const Dataset& data, const GbdtParams& params) {
   // partition assigned them to, so their contribution is the recorded leaf
   // value, and out-of-sample rows route by bin thresholds. Both shortcuts
   // equal raw-threshold traversal only when no data value sits exactly on a
-  // bin edge (strict_edges) — otherwise, or with the scalar fallback
-  // forced, every row walks the tree on raw features as before.
-  const bool fast_update = binned.strict_edges() && batch_scoring_enabled();
+  // bin edge (strict_edges) — otherwise every row walks the tree on raw
+  // features (the reference fit, pinned by tests/ml/test_gbdt_fit_equiv.cpp).
+  const bool fast_update = binned.strict_edges();
   std::vector<std::pair<std::size_t, double>> leaf_rows;
   std::vector<std::uint8_t> covered;
 
@@ -88,13 +88,7 @@ void Gbdt::fit(const Dataset& data, const GbdtParams& params) {
 
 double Gbdt::predict(std::span<const double> features) const {
   AAL_CHECK(fitted_, "predict on an unfitted GBDT");
-  if (batch_scoring_enabled()) return flat_.predict(features);
-  // Scalar fallback: the per-tree reference sum the flat engine is pinned to.
-  double acc = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    acc += learning_rate_ * tree.predict(features);
-  }
-  return base_ + scale_ * acc;
+  return flat_.predict(features);
 }
 
 void Gbdt::predict_batch(std::span<const double> features, std::size_t rows,
@@ -104,15 +98,7 @@ void Gbdt::predict_batch(std::span<const double> features, std::size_t rows,
   if (rows == 0) return;
   AAL_CHECK(features.size() % rows == 0,
             "feature span is not a whole number of rows");
-  if (batch_scoring_enabled()) {
-    flat_.predict_batch(features, rows, out);
-    return;
-  }
-  // Scalar fallback: per-row reference path.
-  const std::size_t cols = features.size() / rows;
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = predict(features.subspan(r * cols, cols));
-  }
+  flat_.predict_batch(features, rows, out);
 }
 
 std::vector<double> Gbdt::predict_many(const Dataset& data) const {

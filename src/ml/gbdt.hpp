@@ -29,17 +29,16 @@ class Gbdt {
  public:
   void fit(const Dataset& data, const GbdtParams& params);
 
-  /// One row through the flattened engine's tree-lockstep walk, or, with
-  /// the scalar fallback forced, the per-tree DecisionTree::predict sum;
-  /// the two are bitwise-identical.
+  /// One row through the flattened engine's tree-lockstep walk, bitwise
+  /// equal to the per-tree DecisionTree::predict sum.
   double predict(std::span<const double> features) const;
 
   /// Batched prediction over a row-major feature matrix: out[i] receives
   /// the prediction for row i (features.size() must be rows * width, width
   /// >= the widest feature any tree splits on; out.size() >= rows). Routed
-  /// through the flattened level-order engine (ml/flat_forest.hpp) unless
-  /// the scalar fallback is forced; both paths are bitwise-identical to
-  /// the per-tree reference sum (pinned by tests/ml/test_batch_predict.cpp).
+  /// through the flattened level-order engine (ml/flat_forest.hpp), bitwise
+  /// identical to the per-tree reference sum (pinned by
+  /// tests/ml/test_batch_predict.cpp).
   void predict_batch(std::span<const double> features, std::size_t rows,
                      std::span<double> out) const;
 

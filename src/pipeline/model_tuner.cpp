@@ -378,12 +378,6 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
   return report;
 }
 
-ModelTuneReport tune_model(const Graph& graph, const GpuSpec& spec,
-                           const TunerFactory& factory,
-                           const ModelTuneOptions& options) {
-  return tune_model(graph, TargetSpec::from_gpu(spec), factory, options);
-}
-
 TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          Tuner& tuner, const TuneOptions& options,
                          std::uint64_t device_seed,
@@ -394,21 +388,9 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
   return tuner.tune(measurer, options);
 }
 
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options,
-                         std::uint64_t device_seed) {
-  return tune_workload(workload, TargetSpec::from_gpu(spec), tuner, options,
-                       device_seed);
-}
-
 TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          Tuner& tuner, const TuneOptions& options) {
   return tune_workload(workload, target, tuner, options, options.device_seed);
-}
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options) {
-  return tune_workload(workload, spec, tuner, options, options.device_seed);
 }
 
 }  // namespace aal

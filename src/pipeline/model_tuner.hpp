@@ -151,12 +151,6 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
                            const TunerFactory& factory,
                            const ModelTuneOptions& options);
 
-/// Compatibility: tunes against a raw GpuSpec (the historical single-backend
-/// spelling; identical to passing TargetSpec::from_gpu(spec)).
-ModelTuneReport tune_model(const Graph& graph, const GpuSpec& spec,
-                           const TunerFactory& factory,
-                           const ModelTuneOptions& options);
-
 /// Tunes a single workload (used by the per-layer figures). Returns the
 /// tuner's result; `device_seed` controls the measurement noise stream and
 /// `options.seed` the tuner's own randomness. `template_request` selects the
@@ -166,17 +160,10 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          std::uint64_t device_seed,
                          const std::string& template_request = std::string());
 
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
-                         Tuner& tuner, const TuneOptions& options,
-                         std::uint64_t device_seed);
-
 /// Same, with the noise stream taken from the shared options
 /// (`options.device_seed`) — the natural spelling for SessionOptions-style
 /// callers.
 TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
-                         Tuner& tuner, const TuneOptions& options);
-
-TuneResult tune_workload(const Workload& workload, const GpuSpec& spec,
                          Tuner& tuner, const TuneOptions& options);
 
 }  // namespace aal

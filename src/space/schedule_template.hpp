@@ -1,7 +1,8 @@
-// Schedule templates: workload -> ConfigSpace, plus decoding of a Config
-// into the semantic schedule the hardware model consumes.
+// Decoding of a "cuda"-template Config (TemplateRegistry, built in
+// space/template_registry.cpp) into the semantic schedule the hardware
+// model consumes. Knob order is part of the contract with the builder.
 //
-// The templates mirror TVM's direct CUDA schedules:
+// The template mirrors TVM's direct CUDA schedules:
 //   conv2d:      tile_f/tile_y/tile_x are 4-way splits (block, vthread,
 //                thread, inner), tile_rc/tile_ry/tile_rx are 2-way reduction
 //                splits, plus auto_unroll_max_step and unroll_explicit.
@@ -19,16 +20,6 @@
 #include "space/config_space.hpp"
 
 namespace aal {
-
-/// Builds the tuning space for a workload. Knob order is part of the
-/// contract with the decode functions below.
-///
-/// Deprecated: this is a compatibility shim that forwards to
-/// `TemplateRegistry::instance().build(workload, TargetSpec{})` — the "cuda"
-/// template on the default gpu-pascal target (space/template_registry.hpp).
-/// New code should go through the registry so the target's native template
-/// can be selected; the shim always yields the CUDA-shaped space.
-ConfigSpace build_config_space(const Workload& workload);
 
 /// Semantic view of a conv2d / depthwise-conv2d configuration.
 /// A 4-way split (a, b, c, d) of an axis maps to: a = blockIdx extent,
@@ -73,8 +64,8 @@ struct DenseSchedule {
   std::int64_t per_thread_outputs() const { return vo * oi; }
 };
 
-/// Decodes a conv/depthwise config; requires the space built by
-/// build_config_space for the same workload.
+/// Decodes a conv/depthwise config; requires the space the "cuda" template
+/// built for the same workload.
 ConvSchedule decode_conv_schedule(const Workload& workload,
                                   const ConfigSpace& space,
                                   const Config& config);

@@ -10,7 +10,7 @@ namespace {
 
 class AdvancedTunerTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   Workload workload_ = testing::small_conv_workload();
 
   BtedParams quick_bted() {

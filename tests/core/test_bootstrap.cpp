@@ -90,7 +90,7 @@ TEST(BootstrapEnsemble, ResamplesDifferPerModel) {
 }
 
 TEST(BootstrapSelect, PicksArgmaxOverCandidates) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const TuningTask task(testing::small_conv_workload(), spec);
   Rng rng(5);
 
@@ -124,7 +124,7 @@ TEST(BootstrapSelect, EmptyCandidatesRejected) {
   const Dataset d = linear_dataset(20, rng);
   const RidgeSurrogateFactory factory;
   const BootstrapEnsemble ensemble(d, factory, 2, rng);
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const TuningTask task(testing::small_conv_workload(), spec);
   EXPECT_THROW(bootstrap_select(ensemble, task.space(), {}), InvalidArgument);
 }

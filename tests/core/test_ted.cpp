@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 
+#include "reference/reference_impls.hpp"
 #include "support/rng.hpp"
 
 namespace aal {
@@ -170,75 +171,6 @@ TEST(TedSelect, RaggedMatrixRejected) {
   EXPECT_THROW(ted_select(bad, 1), InvalidArgument);
 }
 
-/// Pre-kernel-layer reference: the scalar TED exactly as it was before the
-/// dense rewrite (two-pass standardize, per-pair distance loops, per-pick
-/// norm rescan, materialized deflation). The optimized paths must agree
-/// with it on selection order.
-std::vector<std::size_t> ted_select_reference(
-    std::vector<std::vector<double>> x, std::size_t m,
-    const TedParams& params) {
-  const std::size_t n = x.size();
-  standardize_columns(x);
-  std::vector<double> dist(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < x[i].size(); ++c) {
-        const double d = x[i][c] - x[j][c];
-        acc += d * d;
-      }
-      dist[i * n + j] = dist[j * n + i] = std::sqrt(acc);
-    }
-  }
-  std::vector<double> k(n * n, 0.0);
-  if (params.kernel == TedKernel::kEuclideanDistance) {
-    k = dist;
-  } else {
-    double sigma = params.rbf_sigma;
-    if (sigma <= 0.0) {
-      std::vector<double> off;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) off.push_back(dist[i * n + j]);
-      }
-      std::sort(off.begin(), off.end());
-      const double med = off.empty() ? 1.0
-                         : off.size() % 2 ? off[off.size() / 2]
-                                          : 0.5 * (off[off.size() / 2 - 1] +
-                                                   off[off.size() / 2]);
-      sigma = std::max(1e-9, med);
-    }
-    const double inv = 1.0 / (2.0 * sigma * sigma);
-    for (std::size_t i = 0; i < n * n; ++i) k[i] = std::exp(-dist[i] * dist[i] * inv);
-  }
-  std::vector<std::size_t> selected;
-  std::vector<bool> taken(n, false);
-  std::vector<double> col(n);
-  for (std::size_t pick = 0; pick < m; ++pick) {
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_v = n;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (taken[v]) continue;
-      double norm_sq = 0.0;
-      for (std::size_t u = 0; u < n; ++u) norm_sq += k[v * n + u] * k[v * n + u];
-      const double score = norm_sq / (std::max(k[v * n + v], 0.0) + params.mu);
-      if (score > best_score) {
-        best_score = score;
-        best_v = v;
-      }
-    }
-    taken[best_v] = true;
-    selected.push_back(best_v);
-    const double denom = std::max(k[best_v * n + best_v], 0.0) + params.mu;
-    for (std::size_t u = 0; u < n; ++u) col[u] = k[best_v * n + u];
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ci = col[i] / denom;
-      if (ci == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) k[i * n + j] -= ci * col[j];
-    }
-  }
-  return selected;
-}
-
 TEST(TedSelect, MaterializedPathMatchesScalarReference) {
   // n below the lazy-selection threshold: cached-norm + fused-deflation path.
   Rng rng(21);
@@ -248,7 +180,7 @@ TEST(TedSelect, MaterializedPathMatchesScalarReference) {
     TedParams params;
     params.kernel = kernel;
     EXPECT_EQ(ted_select(features, 12, params),
-              ted_select_reference(features, 12, params));
+              reference::ted_select(features, 12, params));
   }
 }
 
@@ -258,7 +190,7 @@ TEST(TedSelect, LazyPathMatchesScalarReference) {
   const auto features = random_features(1100, 5, rng);
   TedParams params;
   EXPECT_EQ(ted_select(features, 10, params),
-            ted_select_reference(features, 10, params));
+            reference::ted_select(features, 10, params));
 }
 
 TEST(TedSelect, DuplicatePointsHandled) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/fusion.hpp"
-#include "space/schedule_template.hpp"
 #include "support/common.hpp"
+#include "test_util.hpp"
 
 namespace aal {
 namespace {
@@ -143,7 +143,7 @@ TEST(Models, AverageSpaceSizeTensOfMillions) {
   for (const auto& t : tasks) {
     if (!t.workload.is_conv()) continue;
     total += static_cast<double>(
-        build_config_space(t.workload).size());
+        testing::cuda_space(t.workload).size());
     ++counted;
   }
   EXPECT_GT(total / counted, 1e7);

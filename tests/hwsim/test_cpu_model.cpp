@@ -22,7 +22,7 @@ class CpuModelTest : public ::testing::TestWithParam<Workload> {
       : workload_(GetParam()),
         target_(make_target("cpu-simd")),
         model_(workload_, target_),
-        space_(build_config_space(workload_)) {}
+        space_(testing::cuda_space(workload_)) {}
 
   Workload workload_;
   TargetSpec target_;
@@ -75,7 +75,7 @@ TEST_P(CpuModelTest, PrunedConfigsAlwaysProfileInvalid) {
   // Model/constraint coherence: any config a constraint rejects must also
   // fail to profile, so pruning can only skip configs that were worthless
   // anyway — the best valid schedule is always feasible.
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained = testing::cuda_space(workload_);
   constrained.set_constraints(model_.constraints());
   Rng rng(11);
   int pruned = 0;
@@ -92,7 +92,7 @@ TEST_P(CpuModelTest, PrunedConfigsAlwaysProfileInvalid) {
 }
 
 TEST_P(CpuModelTest, BestSampledScheduleIsNeverPruned) {
-  ConfigSpace constrained = build_config_space(workload_);
+  ConfigSpace constrained = testing::cuda_space(workload_);
   constrained.set_constraints(model_.constraints());
   Rng rng(13);
   double best_gflops = 0.0;

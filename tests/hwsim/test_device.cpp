@@ -25,9 +25,9 @@ KernelProfile find_valid_profile(const KernelModel& model,
 class DeviceTest : public ::testing::Test {
  protected:
   Workload workload_ = testing::small_conv_workload();
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
-  KernelModel model_{workload_, spec_};
-  ConfigSpace space_ = build_config_space(workload_);
+  TargetSpec spec_ = make_target("gpu-pascal");
+  KernelModel model_{workload_, spec_.gpu};
+  ConfigSpace space_ = testing::cuda_space(workload_);
   KernelProfile profile_ = find_valid_profile(model_, space_);
 };
 

@@ -10,7 +10,7 @@ TensorType nchw(std::int64_t c, std::int64_t h, std::int64_t w) {
 }
 
 TEST(FixedOps, ViewsHaveZeroLatency) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   for (OpType t : {OpType::kInput, OpType::kFlatten, OpType::kDropout}) {
     Op op;
     op.type = t;
@@ -19,15 +19,15 @@ TEST(FixedOps, ViewsHaveZeroLatency) {
 }
 
 TEST(FixedOps, KernelsIncludeLaunchOverhead) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   Op op;
   op.type = OpType::kRelu;
   const double t = fixed_op_latency_us(op, {nchw(1, 1, 1)}, spec);
-  EXPECT_GT(t, 0.5 * spec.kernel_launch_overhead_us * 0.5);
+  EXPECT_GT(t, 0.5 * spec.launch_overhead_us() * 0.5);
 }
 
 TEST(FixedOps, LatencyGrowsWithTensorSize) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   Op op;
   op.type = OpType::kRelu;
   const double small = fixed_op_latency_us(op, {nchw(16, 28, 28)}, spec);
@@ -36,7 +36,7 @@ TEST(FixedOps, LatencyGrowsWithTensorSize) {
 }
 
 TEST(FixedOps, SoftmaxCostsMoreThanRelu) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   Op relu;
   relu.type = OpType::kRelu;
   Op softmax;
@@ -47,7 +47,7 @@ TEST(FixedOps, SoftmaxCostsMoreThanRelu) {
 }
 
 TEST(FixedOps, PoolChargesWindowOverhead) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   Op pool;
   pool.type = OpType::kMaxPool2d;
   pool.pool = {3, 3, 2, 2, 0, 0, false};
@@ -62,8 +62,8 @@ TEST(FixedOps, SlowerGpuTakesLonger) {
   Op op;
   op.type = OpType::kLRN;
   const auto input = std::vector<TensorType>{nchw(64, 56, 56)};
-  EXPECT_GT(fixed_op_latency_us(op, input, GpuSpec::small_embedded()),
-            fixed_op_latency_us(op, input, GpuSpec::gtx1080ti()));
+  EXPECT_GT(fixed_op_latency_us(op, input, make_target("gpu-embedded")),
+            fixed_op_latency_us(op, input, make_target("gpu-pascal")));
 }
 
 TEST(FixedOps, NoiseSigmaIsSmallPositive) {

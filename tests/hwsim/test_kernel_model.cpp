@@ -42,7 +42,7 @@ class ConvModelTest : public ::testing::Test {
   Workload workload_ = testing::small_conv_workload();
   GpuSpec spec_ = GpuSpec::gtx1080ti();
   KernelModel model_{workload_, spec_};
-  ConfigSpace space_ = build_config_space(workload_);
+  ConfigSpace space_ = testing::cuda_space(workload_);
 };
 
 TEST_F(ConvModelTest, ValidProfilesAreWellFormed) {
@@ -128,7 +128,7 @@ TEST(DenseModelTest, ProfilesBehave) {
   const Workload w = testing::small_dense_workload();
   const GpuSpec spec = GpuSpec::gtx1080ti();
   const KernelModel model(w, spec);
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   Rng rng(11);
   int valid = 0;
   for (int i = 0; i < 200; ++i) {
@@ -148,7 +148,7 @@ TEST(DepthwiseModelTest, BandwidthBoundRegime) {
   const Workload w = testing::small_depthwise_workload();
   const GpuSpec spec = GpuSpec::gtx1080ti();
   const KernelModel model(w, spec);
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   Rng rng(13);
   double best = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -167,7 +167,7 @@ TEST(AlignmentRidges, Float4AlignedRowsAreFasterInAggregate) {
   const Workload w = testing::small_depthwise_workload();
   const GpuSpec spec = GpuSpec::gtx1080ti();
   const KernelModel model(w, spec);
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   Rng rng(101);
   RunningStats aligned, unaligned;
   for (int i = 0; i < 4000; ++i) {
@@ -204,7 +204,7 @@ TEST(Precision, LowerPrecisionIsFasterInAggregate) {
     conv.dtype = dtypes[d];
     const Workload w = Workload::conv2d(conv);
     const KernelModel model(w, spec);
-    const ConfigSpace space = build_config_space(w);
+    const ConfigSpace space = testing::cuda_space(w);
     Rng rng(55);  // same stream: same configs compared across dtypes
     RunningStats stats;
     for (int i = 0; i < 1500; ++i) {
@@ -225,7 +225,7 @@ TEST(Precision, Int8ShrinksSharedMemoryFootprint) {
   const Workload w32 = Workload::conv2d(conv);
   conv.dtype = DType::kInt8;
   const Workload w8 = Workload::conv2d(conv);
-  const ConfigSpace space = build_config_space(w32);  // same knobs/dims
+  const ConfigSpace space = testing::cuda_space(w32);  // same knobs/dims
   const KernelModel m32(w32, spec);
   const KernelModel m8(w8, spec);
   Rng rng(66);
@@ -243,7 +243,7 @@ TEST(Precision, Int8ShrinksSharedMemoryFootprint) {
 
 TEST(KernelModelScaling, V100OutrunsPascalOnBigKernels) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   const KernelModel pascal(w, GpuSpec::gtx1080ti());
   const KernelModel volta(w, GpuSpec::v100());
   EXPECT_GT(GpuSpec::v100().peak_gflops(), GpuSpec::gtx1080ti().peak_gflops());
@@ -268,7 +268,7 @@ TEST(KernelModelScaling, V100OutrunsPascalOnBigKernels) {
 
 TEST(KernelModelScaling, SmallerGpuIsSlower) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   const KernelModel big(w, GpuSpec::gtx1080ti());
   const KernelModel small(w, GpuSpec::small_embedded());
   Rng rng(17);

@@ -70,6 +70,24 @@ TEST(Target, FromGpuMapsKnownSpecsToRegistryNames) {
       << TargetSpec::from_gpu(custom).name;
 }
 
+TEST(Target, KnownDeviceLabelWithChangedNumbersIsCustom) {
+  // A registered device label alone does not make a registered target: a
+  // "GeForce GTX 1080 Ti" with fewer SMs and doubled DRAM bandwidth is
+  // another machine, and must not share gpu-pascal's store keys and
+  // transfer priors.
+  GpuSpec modified = GpuSpec::gtx1080ti();
+  modified.num_sms = 20;
+  modified.dram_bw_gbps *= 2;
+  const TargetSpec t = TargetSpec::from_gpu(modified);
+  EXPECT_TRUE(t.name.starts_with("gpu-custom-")) << t.name;
+  EXPECT_EQ(t.device_name, "GeForce GTX 1080 Ti");
+  EXPECT_EQ(t.gpu.num_sms, 20);
+  // One changed field is enough.
+  GpuSpec slower_launch = GpuSpec::v100();
+  slower_launch.kernel_launch_overhead_us += 1.0;
+  EXPECT_NE(TargetSpec::from_gpu(slower_launch).name, "gpu-volta");
+}
+
 TEST(Target, DistinctCustomGpusGetDistinctFingerprintedNames) {
   // Regression: unknown specs used to collapse onto one shared
   // "gpu-custom" name, so two unrelated machines wrote records under the

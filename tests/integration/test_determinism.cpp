@@ -51,7 +51,7 @@ class DeterminismTest : public ::testing::Test {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   Workload workload_ = testing::small_conv_workload();
 
   TuneOptions quick_options() {

@@ -18,7 +18,7 @@ class PaperProtocolTest : public ::testing::Test {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   Workload workload_ = testing::small_conv_workload();
 
   BtedParams quick_bted() {

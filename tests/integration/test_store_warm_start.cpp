@@ -53,7 +53,7 @@ class StoreWarmStartTest : public ::testing::Test {
     return o;
   }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   std::string dir_;
 };
 

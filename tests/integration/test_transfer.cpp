@@ -82,7 +82,7 @@ class TransferIntegrationTest : public ::testing::Test {
     RecordStore store(dir_);
     ModelTuneOptions options = base_options();
     options.store = &store;
-    tune_model(model_a(), GpuSpec::gtx1080ti(), bted_bao_tuner_factory(),
+    tune_model(model_a(), make_target("gpu-pascal"), bted_bao_tuner_factory(),
                options);
     ASSERT_GT(store.size(), 0u);
   }
@@ -98,7 +98,7 @@ TEST_F(TransferIntegrationTest, WarmModelBMeasuresAtMostHalfOfCold) {
   {
     ModelTuneOptions options = base_options();
     options.metrics = &cold_metrics;
-    tune_model(model_b(), GpuSpec::gtx1080ti(), bted_bao_tuner_factory(),
+    tune_model(model_b(), make_target("gpu-pascal"), bted_bao_tuner_factory(),
                options);
   }
   const std::int64_t cold_measured =
@@ -114,7 +114,7 @@ TEST_F(TransferIntegrationTest, WarmModelBMeasuresAtMostHalfOfCold) {
     options.store = &store;
     options.metrics = &warm_metrics;
     options.transfer.enabled = true;
-    warm = tune_model(model_b(), GpuSpec::gtx1080ti(),
+    warm = tune_model(model_b(), make_target("gpu-pascal"),
                       bted_bao_tuner_factory(), options);
   }
   const std::int64_t warm_measured =
@@ -147,7 +147,7 @@ TEST_F(TransferIntegrationTest, WarmSerialAndJobs4TracesAreByteIdentical) {
     options.trace = &sink;
     options.transfer.enabled = true;
     options.jobs = jobs;
-    tune_model(model_b(), GpuSpec::gtx1080ti(), bted_bao_tuner_factory(),
+    tune_model(model_b(), make_target("gpu-pascal"), bted_bao_tuner_factory(),
                options);
     return sink.to_jsonl();
   };
@@ -173,7 +173,7 @@ TEST_F(TransferIntegrationTest, TransferWorksAcrossTunerPolicies) {
     options.metrics = &metrics;
     options.transfer.enabled = true;
     const ModelTuneReport report =
-        tune_model(model_b(), GpuSpec::gtx1080ti(), factory, options);
+        tune_model(model_b(), make_target("gpu-pascal"), factory, options);
     EXPECT_GT(metrics.counter("transfer.activations").value(), 0);
     for (const auto& t : report.tasks) {
       EXPECT_TRUE(t.result.best.has_value()) << t.task_key;

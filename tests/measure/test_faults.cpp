@@ -73,13 +73,6 @@ TEST(FaultyDevice, SpecReferenceIsStableThroughDecoratorChains) {
   EXPECT_EQ(two.spec().name, "cpu-simd");
   EXPECT_EQ(two.spec().kind, TargetKind::kCpu);
   EXPECT_DOUBLE_EQ(two.spec().peak_gflops(), inner.spec().peak_gflops());
-
-  // The GpuSpec compatibility constructor owns its converted TargetSpec the
-  // same way (the conversion result must not be a dangling temporary).
-  SimulatedDevice gpu_device(GpuSpec::gtx1080ti(), 5);
-  FaultyDevice wrapped(gpu_device, mixed_plan(0.3, 2));
-  EXPECT_EQ(&wrapped.spec(), &gpu_device.spec());
-  EXPECT_EQ(wrapped.spec().name, "gpu-pascal");
 }
 
 TEST(FaultPlan, InactivePlanNeverFaults) {
@@ -150,7 +143,7 @@ TEST(FaultPlan, SpecRejectsMalformedInput) {
 
 class FaultyDeviceTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   /// First space flat with a valid (buildable) profile.
@@ -225,7 +218,7 @@ TEST_F(FaultyDeviceTest, PermanentBuildErrorsPassThroughUninjected) {
 
 class MeasureFaultsTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   MeasureOptions retry_options(int max_attempts) const {
@@ -403,7 +396,7 @@ class FaultSweepTest : public ::testing::TestWithParam<SweepCase> {
   void SetUp() override { set_log_threshold(LogLevel::kWarn); }
   void TearDown() override { set_log_threshold(LogLevel::kInfo); }
 
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
 
   TuneOptions session_options() const {
     TuneOptions options;

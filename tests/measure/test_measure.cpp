@@ -13,7 +13,7 @@ namespace {
 
 class MeasureTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
   SimulatedDevice device_{spec_, 99};
   Measurer measurer_{task_, device_, 3};
@@ -333,14 +333,14 @@ TEST(BackendTest, DispatchCoversAllIndices) {
 }
 
 TEST(TuningTaskTest, KeyAndSpace) {
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   const TuningTask task(testing::small_conv_workload(), spec);
   EXPECT_EQ(task.key(), testing::small_conv_workload().key());
   EXPECT_GT(task.space().size(), 1000);
   Rng rng(6);
   const Config c = task.space().sample(rng);
   // profile() must agree with a directly constructed model.
-  const KernelModel model(testing::small_conv_workload(), spec);
+  const KernelModel model(testing::small_conv_workload(), spec.gpu);
   const KernelProfile a = task.profile(c);
   const KernelProfile b = model.profile(task.space(), c);
   EXPECT_EQ(a.valid, b.valid);

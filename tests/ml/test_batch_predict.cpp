@@ -19,6 +19,7 @@
 
 #include "ml/flat_forest.hpp"
 #include "ml/gbdt.hpp"
+#include "reference/reference_impls.hpp"
 #include "support/rng.hpp"
 
 namespace aal {
@@ -114,37 +115,9 @@ std::vector<TreeNodeSpec> random_specs(std::size_t dim, int max_depth,
   return specs;
 }
 
-/// The audit reference: Gbdt's output transform over an explicit per-tree
-/// DecisionTree::predict sum, accumulated in tree order.
-double per_tree_sum(const Gbdt& model, std::span<const double> row) {
-  double acc = 0.0;
-  for (const DecisionTree& t : model.trees()) {
-    acc += model.learning_rate() * t.predict(row);
-  }
-  return model.base() + model.scale() * acc;
-}
-
-/// The same sum over synthesized trees; rethrows whatever the first tree
-/// that cannot route the row throws.
-double spec_forest_sum(const std::vector<DecisionTree>& trees, double base,
-                       double scale, double lr, std::span<const double> row) {
-  double acc = 0.0;
-  for (const DecisionTree& t : trees) acc += lr * t.predict(row);
-  return base + scale * acc;
-}
-
-/// Forces the scalar fallback for one scope, restoring on exit even when an
-/// assertion fires mid-test.
-class ScopedScalarScoring {
- public:
-  ScopedScalarScoring() : previous_(batch_scoring_enabled()) {
-    set_batch_scoring_enabled(false);
-  }
-  ~ScopedScalarScoring() { set_batch_scoring_enabled(previous_); }
-
- private:
-  bool previous_;
-};
+// The audit reference every flat entry point is compared with: the
+// explicit per-tree DecisionTree::predict sum in tree order.
+using reference::per_tree_sum;
 
 // ---------------------------------------------------------------------------
 // Bitwise equivalence: fitted forests
@@ -257,7 +230,7 @@ TEST(BatchPredict, SynthesizedTreesMatchScalarBitwise) {
       const std::span<const double> row{m.data() + r * dim, dim};
       // The scalar reference recomputed from the source trees, with the
       // exact accumulation order the engine promises.
-      const double expected = spec_forest_sum(trees, base, scale, lr, row);
+      const double expected = per_tree_sum(trees, base, scale, lr, row);
       EXPECT_TRUE(bits_equal(batch[r], expected))
           << "trial " << trial << " row " << r;
       EXPECT_TRUE(bits_equal(forest.predict(row), expected))
@@ -305,7 +278,7 @@ TEST(SinglePredict, MixedDepthForestsMatchPerTreeSumBitwise) {
     for (std::size_t r = 0; r < rows; ++r) {
       const std::span<const double> row{m.data() + r * dim, dim};
       EXPECT_TRUE(bits_equal(forest.predict(row),
-                             spec_forest_sum(trees, base, scale, lr, row)))
+                             per_tree_sum(trees, base, scale, lr, row)))
           << "trees " << num_trees << " row " << r;
     }
   }
@@ -340,7 +313,7 @@ TEST(SinglePredict, IeeeEdgeFeaturesMatchPerTreeSumBitwise) {
         row = {a, b, c};
         EXPECT_TRUE(bits_equal(model.predict(row), per_tree_sum(model, row)));
         EXPECT_TRUE(bits_equal(synth_forest.predict(row),
-                               spec_forest_sum(synth, 0.5, 2.0, 0.3, row)));
+                               per_tree_sum(synth, 0.5, 2.0, 0.3, row)));
       }
     }
   }
@@ -360,7 +333,7 @@ TEST(SinglePredict, DepthZeroForestReadsNoFeature) {
   EXPECT_EQ(forest.min_feature_width(), 0);
   const std::span<const double> empty;
   EXPECT_TRUE(bits_equal(forest.predict(empty),
-                         spec_forest_sum(trees, 1.0, 2.0, 0.5, empty)));
+                         per_tree_sum(trees, 1.0, 2.0, 0.5, empty)));
 
   // A fitted GBDT on a constant target has only leaves too.
   Dataset constant(2);
@@ -397,7 +370,7 @@ TEST(SinglePredict, NarrowRowThrowsOrSucceedsLikeThePerTreeWalk) {
       bool reference_threw = false;
       double expected = 0.0;
       try {
-        expected = spec_forest_sum(trees, 0.0, 1.0, 0.1, row);
+        expected = per_tree_sum(trees, 0.0, 1.0, 0.1, row);
       } catch (const InvalidArgument&) {
         reference_threw = true;
       }
@@ -431,25 +404,6 @@ TEST(SinglePredict, NarrowRowThrowsOrSucceedsLikeThePerTreeWalk) {
     EXPECT_THROW(wide.predict(one), InvalidArgument);
   } else {
     EXPECT_TRUE(bits_equal(wide.predict(one), per_tree_sum(wide, one)));
-  }
-}
-
-TEST(SinglePredict, ScalarFallbackUsesThePerTreeSum) {
-  Rng rng(444);
-  const std::size_t dim = 4;
-  Gbdt model;
-  model.fit(random_dataset(100, dim, rng), GbdtParams{});
-  std::vector<double> row(dim);
-  for (int probe = 0; probe < 50; ++probe) {
-    for (double& v : row) v = rng.next_double(-5.0, 5.0);
-    const double fast = model.predict(row);
-    double slow = 0.0;
-    {
-      ScopedScalarScoring scalar;
-      slow = model.predict(row);
-    }
-    EXPECT_TRUE(bits_equal(fast, slow));
-    EXPECT_TRUE(bits_equal(slow, per_tree_sum(model, row)));
   }
 }
 
@@ -541,33 +495,6 @@ TEST(FlatLayout, ForestConcatenationPreservesPerTreeLayout) {
   for (const DecisionTree& t : model.trees()) total += t.num_nodes();
   EXPECT_EQ(forest.num_nodes(), total);
   EXPECT_EQ(forest.num_trees(), model.trees().size());
-}
-
-// ---------------------------------------------------------------------------
-// Scalar fallback switch
-
-TEST(BatchPredict, ScalarFallbackIsBitwiseIdentical) {
-  Rng rng(808);
-  const std::size_t dim = 4;
-  Gbdt model;
-  model.fit(random_dataset(100, dim, rng), GbdtParams{});
-
-  const std::size_t rows = 70;
-  std::vector<double> m(rows * dim);
-  for (double& v : m) v = rng.next_double(-5.0, 5.0);
-
-  std::vector<double> fast(rows), slow(rows);
-  ASSERT_TRUE(batch_scoring_enabled());
-  model.predict_batch(m, rows, fast);
-  {
-    ScopedScalarScoring scalar;
-    ASSERT_FALSE(batch_scoring_enabled());
-    model.predict_batch(m, rows, slow);
-  }
-  EXPECT_TRUE(batch_scoring_enabled());
-  for (std::size_t r = 0; r < rows; ++r) {
-    EXPECT_TRUE(bits_equal(fast[r], slow[r])) << "row " << r;
-  }
 }
 
 // ---------------------------------------------------------------------------

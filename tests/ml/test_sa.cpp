@@ -84,7 +84,7 @@ TEST(SaOptimizer, DeterministicGivenRngState) {
 
 TEST(SaOptimizer, WorksOnRealScheduleSpace) {
   const Workload w = testing::small_conv_workload();
-  const ConfigSpace space = build_config_space(w);
+  const ConfigSpace space = testing::cuda_space(w);
   // A deterministic smooth-ish score: prefer mid-range flat indices.
   const auto score = [&](const Config& c) {
     const double x =

@@ -22,7 +22,7 @@ std::vector<MeasureResult> fake_results(const TuningTask& task, int n,
 
 class TransferTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask conv_a_{testing::small_conv_workload(), spec_};
   TuningTask dense_{testing::small_dense_workload(), spec_};
   TuningTask depthwise_{testing::small_depthwise_workload(), spec_};

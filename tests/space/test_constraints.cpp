@@ -150,7 +150,7 @@ TEST(SpaceConstraints, PruningIsPureInTargetSpec) {
   const Workload workload = testing::small_conv_workload();
   const TuningTask a(workload, make_target("cpu-simd"));
   const TuningTask b(workload, make_target("cpu-simd"));
-  const ConfigSpace full = build_config_space(workload);
+  const ConfigSpace full = testing::cuda_space(workload);
   Rng rng(13);
   const auto probes = full.sample_distinct(300, rng);
   for (auto it = probes.rbegin(); it != probes.rend(); ++it) {

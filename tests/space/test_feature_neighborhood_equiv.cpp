@@ -3,78 +3,23 @@
 // the same points in the same order, the same RNG consumption and the same
 // feasibility tally — on every target's default and native spaces, across
 // radii from the empty ball to one that covers the space, and across caps.
-// The original loop is kept below verbatim as the oracle.
+// The original loop (tests/reference/reference_impls.hpp) is the oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
-#include <unordered_set>
 #include <vector>
 
 #include "hwsim/target.hpp"
 #include "measure/tuning_task.hpp"
+#include "reference/reference_impls.hpp"
 #include "space/config_space.hpp"
 #include "test_util.hpp"
 
 namespace aal {
 namespace {
-
-/// feature_neighborhood as it was before the per-knob kernel: copy the
-/// centre's choices, mutate 1-3 knobs, make(), probe the seen-set, then
-/// re-featurize the whole candidate and sum its squared distance.
-std::vector<Config> reference_feature_neighborhood(const ConfigSpace& space,
-                                                   const Config& center,
-                                                   double radius,
-                                                   std::size_t max_points,
-                                                   Rng& rng) {
-  std::vector<Config> out;
-  if (max_points == 0) return out;
-
-  const std::vector<double> center_feats = space.features(center);
-  const double r2 = radius * radius;
-  std::unordered_set<std::int64_t> seen{center.flat};
-  const std::size_t max_attempts = max_points * 60 + 400;
-  std::vector<double> feats;
-  feats.reserve(static_cast<std::size_t>(space.feature_dim()));
-
-  for (std::size_t attempt = 0;
-       attempt < max_attempts && out.size() < max_points; ++attempt) {
-    std::vector<std::int32_t> choices = center.choices;
-    const auto mutations = 1 + rng.next_index(3);
-    for (std::uint64_t m = 0; m < mutations; ++m) {
-      const auto k =
-          static_cast<std::size_t>(rng.next_index(space.num_knobs()));
-      choices[k] = static_cast<std::int32_t>(rng.next_index(
-          static_cast<std::uint64_t>(space.knob(k).size())));
-    }
-    Config candidate = space.make(std::move(choices));
-    if (seen.contains(candidate.flat)) continue;
-
-    feats.clear();
-    for (std::size_t i = 0; i < space.num_knobs(); ++i) {
-      space.knob(i).append_features(candidate.choices[i], feats);
-    }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < feats.size() && acc <= r2; ++i) {
-      const double d = feats[i] - center_feats[i];
-      acc += d * d;
-    }
-    if (acc > r2) continue;
-    seen.insert(candidate.flat);
-    if (space.num_constraints() > 0 && !space.feasible(candidate)) continue;
-    out.push_back(std::move(candidate));
-  }
-
-  if (out.empty() && space.size() >= 2) {
-    for (int i = 0; i < 64 && out.empty(); ++i) {
-      Config c = space.sample(rng);
-      if (c.flat != center.flat) out.push_back(std::move(c));
-    }
-  }
-  return out;
-}
 
 struct Outcome {
   std::vector<Config> points;
@@ -126,8 +71,8 @@ TEST_P(FeatureNeighborhoodEquiv, MatchesTheRejectionLoop) {
       for (const std::size_t cap : kCaps) {
         const std::uint64_t seed = centres();
         const Outcome want = run(space, seed, [&](Rng& rng) {
-          return reference_feature_neighborhood(space, center, radius, cap,
-                                                rng);
+          return reference::feature_neighborhood(space, center, radius, cap,
+                                                 rng);
         });
         const Outcome got = run(space, seed, [&](Rng& rng) {
           return space.feature_neighborhood(center, radius, cap, rng);
@@ -175,7 +120,7 @@ TEST(FeatureNeighborhoodEquivOrder, MutatedKnobsAreSummedInColumnOrder) {
 
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Outcome want = run(space, seed, [&](Rng& rng) {
-      return reference_feature_neighborhood(space, center, radius, 64, rng);
+      return reference::feature_neighborhood(space, center, radius, 64, rng);
     });
     const Outcome got = run(space, seed, [&](Rng& rng) {
       return space.feature_neighborhood(center, radius, 64, rng);

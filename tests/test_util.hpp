@@ -4,8 +4,9 @@
 #include <cstdlib>
 
 #include "graph/graph.hpp"
-#include "hwsim/gpu_spec.hpp"
+#include "hwsim/target.hpp"
 #include "ir/workload.hpp"
+#include "space/template_registry.hpp"
 
 namespace aal::testing {
 
@@ -50,6 +51,12 @@ inline Workload small_dense_workload() {
   w.in_features = 256;
   w.out_features = 128;
   return Workload::dense(w);
+}
+
+/// The CUDA-shaped space of `workload` on the paper's gpu-pascal target.
+inline ConfigSpace cuda_space(const Workload& workload) {
+  return TemplateRegistry::instance().build(workload,
+                                            make_target("gpu-pascal"));
 }
 
 /// A tiny CNN graph: conv -> bn -> relu -> dw conv -> relu -> pool ->

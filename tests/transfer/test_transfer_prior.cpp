@@ -62,7 +62,7 @@ class TransferPriorTest : public ::testing::Test {
   static void seed_history(RecordStore& store, const Workload& w,
                            const TargetSpec& target, int n, bool ok = true) {
     const std::string key = TuningTask::key_for(w, target);
-    const std::int64_t size = build_config_space(w).size();
+    const std::int64_t size = testing::cuda_space(w).size();
     for (int i = 0; i < n; ++i) {
       const std::int64_t flat = (i * 37) % size;
       store.append(TuningRecord{key, flat, ok, ok ? 100.0 + i : 0.0, 10.0,
@@ -132,7 +132,7 @@ TEST_F(TransferPriorTest, LegacyBareKeysResolveToDefaultTargetOnly) {
   {
     RecordStore store(dir_);
     const std::string bare_key = sibling_conv().key();  // no "@target"
-    const std::int64_t size = build_config_space(sibling_conv()).size();
+    const std::int64_t size = testing::cuda_space(sibling_conv()).size();
     for (int i = 0; i < 64; ++i) {
       store.append(
           TuningRecord{bare_key, (i * 37) % size, true, 100.0 + i, 10.0, ""});
@@ -218,7 +218,7 @@ class TransferColdPathTest : public TransferPriorTest {
     options.store = &store;
     options.trace = &sink;
     options.transfer.enabled = transfer_enabled;
-    tune_model(testing::tiny_cnn(), GpuSpec::gtx1080ti(),
+    tune_model(testing::tiny_cnn(), make_target("gpu-pascal"),
                bted_bao_tuner_factory(), options);
     return sink.to_jsonl();
   }

@@ -6,7 +6,6 @@
 
 #include "test_util.hpp"
 #include "tuner/ga_tuner.hpp"
-#include "tuner/grid_tuner.hpp"
 #include "tuner/random_tuner.hpp"
 #include "tuner/tuning_session.hpp"
 #include "tuner/xgb_tuner.hpp"
@@ -29,7 +28,7 @@ class FixedProposalTuner final : public Tuner {
 
 class TunerTest : public ::testing::Test {
  protected:
-  GpuSpec spec_ = GpuSpec::gtx1080ti();
+  TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
 
   TuneOptions quick_options() {
@@ -135,28 +134,6 @@ TEST_F(TunerTest, RandomTunerRunsToBudget) {
   ASSERT_TRUE(r.best.has_value());
 }
 
-TEST_F(TunerTest, GridTunerIsDeterministicAndStrided) {
-  SimulatedDevice device_a(spec_, 6);
-  Measurer measurer_a(task_, device_a);
-  GridTuner tuner;
-  const TuneResult a = tuner.tune(measurer_a, quick_options());
-
-  SimulatedDevice device_b(spec_, 7);
-  Measurer measurer_b(task_, device_b);
-  const TuneResult b = tuner.tune(measurer_b, quick_options());
-
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].flat, b.history[i].flat);
-  }
-  // The low-discrepancy walk must reach the upper half of the space.
-  std::int64_t max_flat = 0;
-  for (const auto& p : a.history) max_flat = std::max(max_flat, p.flat);
-  EXPECT_GT(max_flat, task_.space().size() / 2);
-  // ... and must find at least one buildable config in 120 probes.
-  EXPECT_TRUE(a.best.has_value());
-}
-
 TEST_F(TunerTest, GaTunerImprovesPopulation) {
   SimulatedDevice device(spec_, 8);
   Measurer measurer(task_, device);
@@ -218,7 +195,7 @@ TEST_F(TunerTest, BestCurveMonotoneForAllTuners) {
 TEST(TunerExhaustion, AllTunersTerminateOnTinySpace) {
   // A space smaller than the budget: every tuner must stop once the space
   // is exhausted instead of spinning on memoized re-measurements.
-  const GpuSpec spec = GpuSpec::gtx1080ti();
+  const TargetSpec spec = make_target("gpu-pascal");
   DenseWorkload d;
   d.in_features = 4;
   d.out_features = 4;

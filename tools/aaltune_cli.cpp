@@ -1,7 +1,7 @@
 // aaltune command-line tool.
 //
 //   aaltune_cli zoo
-//   aaltune_cli inspect <model>
+//   aaltune_cli inspect <model> [--target gpu-pascal]
 //   aaltune_cli tune    <model> [--tuner bted+bao] [--budget N] [--records f]
 //                               [--store dir] [--store-readonly] [--transfer]
 //                               [--template native] [--trace f.jsonl]
@@ -49,22 +49,6 @@ Graph load_model(const std::string& spec) {
   return make_model(spec);
 }
 
-GpuSpec load_gpu(const std::string& name) {
-  if (name == "1080ti") return GpuSpec::gtx1080ti();
-  if (name == "v100") return GpuSpec::v100();
-  if (name == "embedded") return GpuSpec::small_embedded();
-  throw InvalidArgument("unknown GPU '" + name +
-                        "' (expected 1080ti, v100 or embedded)");
-}
-
-/// Resolves the deployment target: --target wins (registry name with
-/// did-you-mean on typos), otherwise the historical --gpu shorthand.
-TargetSpec load_target(const ArgParser& args) {
-  const std::string target = args.get("target");
-  if (!target.empty()) return make_target(target);
-  return TargetSpec::from_gpu(load_gpu(args.get("gpu")));
-}
-
 int cmd_list_targets() {
   TextTable table;
   table.set_header({"name", "kind", "device", "peak GFLOPS",
@@ -97,8 +81,9 @@ int cmd_zoo() {
   return 0;
 }
 
-int cmd_inspect(const std::string& model_spec) {
-  const Graph g = load_model(model_spec);
+int cmd_inspect(const ArgParser& args) {
+  const Graph g = load_model(*args.get_positional("model"));
+  const TargetSpec target = make_target(args.get("target"));
   std::printf("%s", g.to_string().c_str());
   const FusedGraph fused = fuse(g);
   std::printf("\n%s\n", fused.to_string().c_str());
@@ -106,7 +91,9 @@ int cmd_inspect(const std::string& model_spec) {
   table.set_header({"task", "layers", "space size"});
   for (const auto& t : extract_tasks(fused)) {
     table.add_row({t.workload.brief(), std::to_string(t.count()),
-                   format_count(build_config_space(t.workload).size())});
+                   format_count(TemplateRegistry::instance()
+                                    .build(t.workload, target)
+                                    .size())});
   }
   std::printf("%s", table.to_string().c_str());
   return 0;
@@ -114,7 +101,7 @@ int cmd_inspect(const std::string& model_spec) {
 
 int cmd_tune(const ArgParser& args) {
   const Graph g = load_model(*args.get_positional("model"));
-  const TargetSpec target = load_target(args);
+  const TargetSpec target = make_target(args.get("target"));
   ModelTuneOptions options;
   options.tune.budget = args.get_int("budget");
   options.tune.early_stopping = args.get_int("early-stop");
@@ -233,7 +220,7 @@ int cmd_tune(const ArgParser& args) {
 
 int cmd_deploy(const ArgParser& args) {
   const Graph g = load_model(*args.get_positional("model"));
-  const TargetSpec target = load_target(args);
+  const TargetSpec target = make_target(args.get("target"));
   std::unordered_map<std::string, std::int64_t> best;
   const std::string records = args.get("records");
   if (!records.empty()) {
@@ -444,9 +431,8 @@ int main(int argc, char** argv) {
                        ? "Simulate deployed inference latency from a record log."
                        : "Inspect a model's graph, fusion groups and tasks.");
     args.add_positional("model", "zoo name or .model file path");
-    args.add_flag("gpu", "target GPU: 1080ti, v100, embedded", "1080ti");
     args.add_flag("target", "deployment target by registry name (see "
-                  "--list-targets); overrides --gpu", "");
+                  "--list-targets)", "gpu-pascal");
     args.add_switch("list-targets", "list available deployment targets and "
                     "exit");
     if (command == "tune") {
@@ -493,7 +479,7 @@ int main(int argc, char** argv) {
       std::printf("%s", args.usage(std::string(argv[0]) + " " + command).c_str());
       return 0;
     }
-    if (command == "inspect") return cmd_inspect(*args.get_positional("model"));
+    if (command == "inspect") return cmd_inspect(args);
     if (command == "tune") return cmd_tune(args);
     return cmd_deploy(args);
   } catch (const std::exception& e) {
