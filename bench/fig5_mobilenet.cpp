@@ -77,7 +77,7 @@ int main() {
   for (std::size_t ti = 0; ti < conv_tasks.size(); ++ti) {
     const std::vector<TaskOutcome>& row = outcomes[ti];
     const double base = row[0].mean_true_gflops;
-    table.add_row({"T" + std::to_string(ti + 1), conv_tasks[ti].brief(),
+    table.add_row({std::string("T").append(std::to_string(ti + 1)), conv_tasks[ti].brief(),
                    format_double(row[0].mean_configs, 0),
                    format_double(row[1].mean_configs, 0),
                    format_double(row[2].mean_configs, 0),

@@ -26,8 +26,10 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bench_harness.hpp"
@@ -70,6 +72,29 @@ double time_median_ms(int repeats, int iters, const std::function<void()>& fn) {
                       iters);
   }
   return median(std::move(samples));
+}
+
+/// Medians of `fn` and `baseline`, timed in alternation, one call per
+/// sample. For rows that fan out over the shared pool: the scheduler
+/// spreads a new process's threads over the CPUs only after a while, so
+/// timing one side entirely before the other can charge that start-up to
+/// whichever side runs first.
+std::pair<double, double> time_alternating_ms(
+    int repeats, const std::function<void()>& fn,
+    const std::function<void()>& baseline) {
+  fn();
+  baseline();
+  std::vector<double> a, b;
+  for (int r = 0; r < repeats; ++r) {
+    for (auto [f, out] : {std::pair{&fn, &a}, std::pair{&baseline, &b}}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      (*f)();
+      const auto t1 = std::chrono::steady_clock::now();
+      out->push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+  return {median(std::move(a)), median(std::move(b))};
 }
 
 /// Defeat dead-code elimination without google-benchmark.
@@ -179,8 +204,64 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
     out.push_back(std::move(e));
   }
 
-  {  // TED selection, the acceptance benchmark: kernel-layer path (lazy
-     // deflation at this n) vs the pre-PR scalar path, identical picks.
+  {  // TED at BTED's shapes (batches of 500, a final union of ~640; d = 20,
+     // m = 64), split in two. Kernel build: the register-blocked pairwise
+     // loop, radix-select median and tiled transform vs the verbatim
+     // pre-change build (bitwise-equal output, checked first). Selection,
+     // on the same kernel: the read-only lazy deflation ted_select runs for
+     // the RBF kernel vs the materialized deflation (equal picks, checked
+     // first). Both sides copy K, since the materialized path writes it.
+    struct Shape {
+      std::size_t n, d, m;
+      int iters;
+    };
+    const std::vector<Shape> shapes =
+        smoke ? std::vector<Shape>{{96, 20, 16, 4}, {128, 20, 16, 4}}
+              : std::vector<Shape>{{500, 20, 64, 3}, {640, 20, 64, 2}};
+    const TedParams params;
+    for (const Shape& s : shapes) {
+      dense::Matrix x = random_matrix(s.n, s.d, 15);
+      dense::standardize_columns(x);
+      const std::vector<double> k = ted_detail::build_kernel(x, params);
+      AAL_CHECK(k == reference::build_ted_kernel(x, params),
+                "TED kernel build diverged from the reference build");
+      {
+        std::vector<double> scratch = k;
+        AAL_CHECK(ted_detail::select_lazy(k, s.n, s.m, params.mu) ==
+                      ted_detail::select_materialized(scratch, s.n, s.m,
+                                                      params.mu),
+                  "lazy and materialized TED picked differently");
+      }
+      const std::vector<std::pair<std::string, long long>> shape_params{
+          {"n", static_cast<long long>(s.n)},
+          {"d", static_cast<long long>(s.d)},
+          {"m", static_cast<long long>(s.m)}};
+      BenchEntry build{"ted_kernel_build", shape_params};
+      build.median_ms = time_median_ms(repeats, s.iters, [&] {
+        sink(ted_detail::build_kernel(x, params)[1]);
+      });
+      build.baseline_median_ms = time_median_ms(repeats, s.iters, [&] {
+        sink(reference::build_ted_kernel(x, params)[1]);
+      });
+      out.push_back(std::move(build));
+      BenchEntry select{"ted_selection", shape_params};
+      std::vector<double> scratch;
+      select.median_ms = time_median_ms(repeats, s.iters, [&] {
+        scratch = k;
+        sink(static_cast<double>(
+            ted_detail::select_lazy(scratch, s.n, s.m, params.mu)[0]));
+      });
+      select.baseline_median_ms = time_median_ms(repeats, s.iters, [&] {
+        scratch = k;
+        sink(static_cast<double>(
+            ted_detail::select_materialized(scratch, s.n, s.m, params.mu)[0]));
+      });
+      out.push_back(std::move(select));
+    }
+  }
+
+  {  // TED selection end to end: the library path vs the pre-kernel-layer
+     // scalar TED, identical picks.
     struct Shape {
       std::size_t n, d, m;
       int iters;
@@ -488,22 +569,41 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
     }
   }
 
-  {  // BTED initialization end-to-end (no scalar baseline survives in the
-     // library; tracked optimized-only for trend monitoring).
+  {  // BTED initialization end to end. Baseline: the same batch stage with
+     // the final TED over the union run serially, as before it split its
+     // kernel build and per-pick mat-vec over the shared pool. The two must
+     // return the same configs; the gain needs more than one pool thread.
     BtedParams params;
     if (smoke) {
       params.num_batches = 2;
       params.batch_sample_size = 60;
       params.num_select = 8;
     }
+    {
+      Rng a(41), b(41);
+      const auto got = bted_sample(task, params, a);
+      const auto want = reference::bted_sample(task, params, b);
+      bool same = got.size() == want.size();
+      for (std::size_t i = 0; same && i < got.size(); ++i) {
+        same = got[i].flat == want[i].flat;
+      }
+      AAL_CHECK(same, "bted_sample diverged from the serial-final reference");
+    }
     BenchEntry e{"bted_sample",
                  {{"B", params.num_batches},
                   {"M", params.batch_sample_size},
                   {"m", params.num_select}}};
-    e.median_ms = time_median_ms(repeats, 1, [&] {
-      Rng rng(41);
-      sink(static_cast<double>(bted_sample(task, params, rng).size()));
-    });
+    std::tie(e.median_ms, e.baseline_median_ms) = time_alternating_ms(
+        repeats,
+        [&] {
+          Rng rng(41);
+          sink(static_cast<double>(bted_sample(task, params, rng).size()));
+        },
+        [&] {
+          Rng rng(41);
+          sink(static_cast<double>(
+              reference::bted_sample(task, params, rng).size()));
+        });
     out.push_back(std::move(e));
   }
 

@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
   std::printf("tuned %zu tasks, %lld configs measured this run, "
               "%lld adopted from the store\n",
               report.tasks.size(),
-              metrics.counter("measure.configs_measured").value(),
-              metrics.counter("store.hits").value());
+              static_cast<long long>(
+                  metrics.counter("measure.configs_measured").value()),
+              static_cast<long long>(metrics.counter("store.hits").value()));
 
   // 4. Query the best configurations (this is what a deployment pipeline
   //    consumes) and estimate end-to-end latency.

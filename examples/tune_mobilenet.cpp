@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   table.set_header({"task", "workload", "layers", "configs", "best GFLOPS"});
   for (std::size_t i = 0; i < report.tasks.size(); ++i) {
     const auto& t = report.tasks[i];
-    table.add_row({"T" + std::to_string(i + 1), t.workload.brief(),
+    table.add_row({std::string("T").append(std::to_string(i + 1)), t.workload.brief(),
                    std::to_string(t.group_count),
                    std::to_string(t.result.num_measured),
                    format_double(t.result.best_gflops(), 1)});

@@ -67,10 +67,13 @@ std::vector<Config> bted_sample(const TuningTask& task,
     }
   }
 
-  // Final TED pass over the union.
+  // Final TED pass over the union, split over row blocks on the shared
+  // pool. The batch TEDs above ran *on* its workers and so stay serial
+  // inside; this call is made from the caller's thread.
   const auto features = featurize(space, union_set);
-  const auto indices = ted_select(
-      features, static_cast<std::size_t>(params.num_select), ted);
+  const auto indices =
+      ted_select(features, static_cast<std::size_t>(params.num_select), ted,
+                 params.parallel ? &ThreadPool::shared() : nullptr);
   return pick(union_set, indices);
 }
 

@@ -24,7 +24,10 @@ struct BtedParams {
   int num_select = 64;                   // m
   int num_batches = 10;                  // B
   TedKernel kernel = TedKernel::kRbf;  // see TedParams::kernel
-  /// Run the B per-batch TED selections on the shared thread pool.
+  /// Run the B per-batch TED selections on the shared thread pool, and
+  /// split the final TED's kernel build and per-pick mat-vec over row
+  /// blocks on it. Either way the result is bitwise the serial one. With
+  /// true, bted_sample must not be called from a shared-pool worker.
   bool parallel = true;
 };
 

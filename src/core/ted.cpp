@@ -1,60 +1,132 @@
 #include "core/ted.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "support/common.hpp"
-#include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 namespace aal {
 
 namespace {
 
-/// Median Euclidean distance over the strict upper triangle of a squared-
-/// distance matrix. Selects on the *squared* values (sqrt is monotone, so
-/// the selected elements are the same) and takes square roots only of the
-/// one or two middle elements — bitwise-identical to sorting the sqrt'ed
-/// distances and averaging the middles (what the scalar path did), minus
-/// an n^2/2 sqrt pass. Mirrors the element choice of stats.hpp median().
+/// Runs body(begin, end) over row blocks of [0, n): one block per worker
+/// of `pool`, or all of [0, n) inline without a pool. The caller must not
+/// be one of `pool`'s workers (it waits on them).
+template <typename Body>
+void for_row_blocks(std::size_t n, ThreadPool* pool, const Body& body) {
+  const std::size_t blocks = pool == nullptr ? 1 : std::min(n, pool->size());
+  if (blocks <= 1) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  const std::size_t step = (n + blocks - 1) / blocks;
+  pool->parallel_for(blocks, [&](std::size_t b) {
+    body(std::min(n, b * step), std::min(n, (b + 1) * step));
+  });
+}
+
+/// Below this many candidates a pool's dispatch costs more than the
+/// row-block split saves, so ted_select runs serially.
+constexpr std::size_t kParallelMinRows = 256;
+
+/// Row-tile edge of the kernel transform: a 64 x 64 block of mirrored
+/// stores (32 KiB) stays in L1 while its source rows stream.
+constexpr std::size_t kTile = 64;
+
+/// K[i][j] = K[j][i] = f(K[i][j]) for every i < j, one 64-row tile against
+/// every tile right of it so the mirrored column stores stay cache-local.
+/// A tile reads and writes only the upper entries of its own rows and the
+/// mirrored lower entries of their columns, so tiles may run in parallel.
+template <typename F>
+void transform_upper_and_mirror(std::vector<double>& k, std::size_t n,
+                                ThreadPool* pool, const F& f) {
+  double* kd = k.data();
+  const auto tile = [&](std::size_t t) {
+    const std::size_t ib = t * kTile;
+    const std::size_t ie = std::min(n, ib + kTile);
+    for (std::size_t jb = ib; jb < n; jb += kTile) {
+      const std::size_t je = std::min(n, jb + kTile);
+      for (std::size_t i = ib; i < ie; ++i) {
+        for (std::size_t j = std::max(i + 1, jb); j < je; ++j) {
+          const double v = f(kd[i * n + j]);
+          kd[i * n + j] = v;
+          kd[j * n + i] = v;
+        }
+      }
+    }
+  };
+  const std::size_t tiles = (n + kTile - 1) / kTile;
+  if (pool != nullptr && tiles > 1) {
+    pool->parallel_for(tiles, tile);
+  } else {
+    for (std::size_t t = 0; t < tiles; ++t) tile(t);
+  }
+}
+
+}  // namespace
+
+namespace ted_detail {
+
 double median_distance(const std::vector<double>& sq, std::size_t n) {
   if (n < 2) return 1.0;
-  std::vector<double> off;
-  off.reserve(n * (n - 1) / 2);
+  const std::size_t count = n * (n - 1) / 2;
+  const std::size_t mid = count / 2;
+  // The ranks the median needs: mid, and mid - 1 when the count is even.
+  const std::size_t lo_rank = count % 2 == 1 ? mid : mid - 1;
+
+  // Non-negative doubles order like their bit patterns. The bucket is the
+  // exponent plus the top 4 mantissa bits; the sign bit is masked so a
+  // -0.0 falls in with +0.0, which the comparisons below treat as equal.
+  const auto bucket = [](double v) {
+    return static_cast<std::size_t>((std::bit_cast<std::uint64_t>(v) >> 48) &
+                                    0x7FFF);
+  };
+  std::vector<std::uint32_t> hist(std::size_t{1} << 15, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    off.insert(off.end(), sq.data() + i * n + i + 1, sq.data() + i * n + n);
+    const double* row = sq.data() + i * n;
+    for (std::size_t j = i + 1; j < n; ++j) ++hist[bucket(row[j])];
   }
-  const std::size_t mid = off.size() / 2;
-  std::nth_element(off.begin(), off.begin() + static_cast<std::ptrdiff_t>(mid),
-                   off.end());
-  const double hi = std::sqrt(off[mid]);
-  if (off.size() % 2 == 1) return hi;
+  // below = elements in buckets left of b_lo; through = those up to b_hi.
+  std::size_t below = 0, b_lo = 0;
+  while (below + hist[b_lo] <= lo_rank) below += hist[b_lo++];
+  std::size_t b_hi = b_lo, through = below + hist[b_lo];
+  while (through <= mid) through += hist[++b_hi];
+
+  // Buckets strictly between b_lo and b_hi are empty, so the candidates are
+  // ranks [below, through) and the median ranks sit inside them.
+  std::vector<double> cand;
+  cand.reserve(through - below);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = sq.data() + i * n;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (bucket(row[j]) - b_lo <= b_hi - b_lo) cand.push_back(row[j]);
+    }
+  }
+  const std::size_t at = mid - below;
+  std::nth_element(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(at),
+                   cand.end());
+  const double hi = std::sqrt(cand[at]);
+  if (count % 2 == 1) return hi;
   const double lo = std::sqrt(*std::max_element(
-      off.begin(), off.begin() + static_cast<std::ptrdiff_t>(mid)));
+      cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(at)));
   return 0.5 * (lo + hi);
 }
 
-/// Builds the TED kernel matrix K (row-major n x n) from already z-scored
-/// features: the literal Euclidean-distance matrix, or an RBF of it with
-/// the median-distance bandwidth heuristic when sigma <= 0. The squared-
-/// distance matrix is transformed into K in place (reads stay ahead of the
-/// mirrored writes), so only one n x n buffer is ever allocated.
 std::vector<double> build_kernel(const dense::Matrix& x,
-                                 const TedParams& params) {
+                                 const TedParams& params, ThreadPool* pool) {
   const std::size_t n = x.rows;
   std::vector<double> k;
-  dense::pairwise_sq_dist(x, k);
+  dense::pairwise_sq_dist(x, k, pool);
 
   if (params.kernel == TedKernel::kEuclideanDistance) {
-    for (std::size_t i = 0; i < n; ++i) {
-      // Diagonal already exactly 0; transform the upper row, mirror down.
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double d = std::sqrt(k[i * n + j]);
-        k[i * n + j] = d;
-        k[j * n + i] = d;
-      }
-    }
+    // Diagonal already exactly 0.
+    transform_upper_and_mirror(k, n, pool,
+                               [](double sq) { return std::sqrt(sq); });
     return k;
   }
 
@@ -63,21 +135,18 @@ std::vector<double> build_kernel(const dense::Matrix& x,
     sigma = std::max(1e-9, median_distance(k, n));
   }
   const double inv = 1.0 / (2.0 * sigma * sigma);
-  for (std::size_t i = 0; i < n; ++i) {
-    k[i * n + i] = 1.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double e = std::exp(-k[i * n + j] * inv);
-      k[i * n + j] = e;
-      k[j * n + i] = e;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) k[i * n + i] = 1.0;
+  transform_upper_and_mirror(k, n, pool,
+                             [inv](double sq) { return std::exp(-sq * inv); });
   return k;
 }
 
 /// Greedy TED selection with the deflation materialized in K: scores come
 /// from row norms that dense::deflate_rank_one refreshes in the same pass
-/// that applies K <- K - K_x K_x^T / (k(x,x)+mu). Best when K fits in
-/// cache, where the write-back is free; O(n^2) read+write per pick.
+/// that applies K <- K - K_x K_x^T / (k(x,x)+mu). O(n^2) read+write per
+/// pick. The path of the non-PSD literal distance matrix: its deflated
+/// entries grow by ~max(d)^2/mu per pick, which recomputed norms survive
+/// and select_lazy's incremental norm update does not.
 std::vector<std::size_t> select_materialized(std::vector<double>& k,
                                              std::size_t n, std::size_t m,
                                              double mu) {
@@ -120,10 +189,11 @@ std::vector<std::size_t> select_materialized(std::vector<double>& k,
 ///   ||K_{t+1}[i]||^2 = ||K_t[i]||^2 - 2 c_i r_i + c_i^2 ||d_t||^2,
 ///   K_{t+1}[i][i]    = K_t[i][i] - c_i d_t[i],        c_i = d_t[i]/denom_t.
 /// O(n^2) *read-only* per pick — half the memory traffic of the
-/// materialized path once K outgrows the cache (see docs/PERF.md).
+/// materialized path (see docs/PERF.md). Needs a PSD kernel: on a non-PSD
+/// one the norm update overflows and cancels into NaN scores.
 std::vector<std::size_t> select_lazy(const std::vector<double>& k,
-                                     std::size_t n, std::size_t m,
-                                     double mu) {
+                                     std::size_t n, std::size_t m, double mu,
+                                     ThreadPool* pool) {
   std::vector<std::size_t> selected;
   selected.reserve(m);
   std::vector<bool> taken(n, false);
@@ -165,9 +235,10 @@ std::vector<std::size_t> select_lazy(const std::vector<double>& k,
     const double inv_denom = 1.0 / denom;
 
     // r = K_t d_t = K d_t - sum_s d_s (d_s . d_t) / denom_s.
-    for (std::size_t i = 0; i < n; ++i) {
-      r[i] = dense::dot(&k[i * n], col.data(), n);
-    }
+    for_row_blocks(n, pool, [&](std::size_t lo, std::size_t hi) {
+      dense::dot_rows(k.data() + lo * n, n, hi - lo, col.data(), n,
+                      r.data() + lo);
+    });
     for (std::size_t s = 0; s < hist_cols.size(); ++s) {
       const double w =
           dense::dot(hist_cols[s].data(), col.data(), n) * hist_inv_denom[s];
@@ -186,12 +257,7 @@ std::vector<std::size_t> select_lazy(const std::vector<double>& k,
   return selected;
 }
 
-/// Above this row count the n x n kernel matrix outgrows typical L2/L3 and
-/// the lazy read-only path wins on memory traffic; below it the
-/// materialized path's simpler per-pick work is faster.
-constexpr std::size_t kLazySelectThreshold = 1024;
-
-}  // namespace
+}  // namespace ted_detail
 
 void standardize_columns(std::vector<std::vector<double>>& features) {
   if (features.empty()) return;
@@ -203,7 +269,8 @@ void standardize_columns(std::vector<std::vector<double>>& features) {
 }
 
 std::vector<std::size_t> ted_select(const dense::Matrix& features,
-                                    std::size_t m, const TedParams& params) {
+                                    std::size_t m, const TedParams& params,
+                                    ThreadPool* pool) {
   const std::size_t n = features.rows;
   if (n == 0) return {};
   if (m >= n) {
@@ -216,10 +283,15 @@ std::vector<std::size_t> ted_select(const dense::Matrix& features,
   dense::Matrix x = features;
   dense::standardize_columns(x);
 
-  std::vector<double> k = build_kernel(x, params);
-  return n > kLazySelectThreshold
-             ? select_lazy(k, n, m, params.mu)
-             : select_materialized(k, n, m, params.mu);
+  if (n < kParallelMinRows) pool = nullptr;
+  std::vector<double> k = ted_detail::build_kernel(x, params, pool);
+  // The RBF kernel is PSD, so the read-only lazy deflation stays finite.
+  // The literal distance matrix is not: its deflation grows by ~max(d)^2/mu
+  // per pick, and the lazy norm update would then turn inf - inf into NaN
+  // scores, so it keeps the materialized path.
+  return params.kernel == TedKernel::kRbf
+             ? ted_detail::select_lazy(k, n, m, params.mu, pool)
+             : ted_detail::select_materialized(k, n, m, params.mu);
 }
 
 std::vector<std::size_t> ted_select(

@@ -16,6 +16,8 @@
 
 namespace aal {
 
+class ThreadPool;
+
 enum class TedKernel {
   kEuclideanDistance,  // K[i][j] = ||x_i - x_j||   (paper text)
   kRbf,                // K[i][j] = exp(-||x_i-x_j||^2 / (2 sigma^2))
@@ -40,19 +42,57 @@ struct TedParams {
 /// order. If m >= |V| all indices are returned. All rows must share width.
 ///
 /// The selection runs on the shared dense-kernel layer
-/// (`support/dense.hpp`): a blocked pairwise squared-distance build, cached
-/// row norms, and either materialized rank-one deflation (small n) or a
-/// lazy read-only formulation (large n) — see docs/PERF.md for the
-/// crossover and measured speedups.
+/// (`support/dense.hpp`): a register-blocked pairwise squared-distance
+/// build, then a path chosen by the kernel type — the RBF kernel (PSD)
+/// always takes the read-only lazy deflation, the literal distance matrix
+/// (non-PSD) the materialized one; see docs/PERF.md for the measured costs.
+/// With a `pool`, the kernel build and the lazy path's per-pick mat-vec
+/// split over row blocks on it; every row's arithmetic is unchanged, so the
+/// picks are bitwise those of the serial call. The caller must not be one
+/// of `pool`'s workers: it blocks waiting on them.
 std::vector<std::size_t> ted_select(const dense::Matrix& features,
                                     std::size_t m,
-                                    const TedParams& params = {});
+                                    const TedParams& params = {},
+                                    ThreadPool* pool = nullptr);
 
 /// Convenience adapter for vector-of-rows callers (copies into a
 /// dense::Matrix). All rows must share width.
 std::vector<std::size_t> ted_select(
     const std::vector<std::vector<double>>& features, std::size_t m,
     const TedParams& params = {});
+
+/// The stages of ted_select on already z-scored features, exposed for the
+/// equivalence tests and bench/micro_kernels' build/selection split.
+namespace ted_detail {
+
+/// Median Euclidean distance over the strict upper triangle of the n x n
+/// squared-distance matrix `sq` (entries non-negative): bitwise what sorting
+/// the distances and averaging the middle one or two gives. A radix
+/// histogram of the bit patterns finds the bucket(s) holding the middle
+/// ranks, so only those values are copied and partially sorted.
+double median_distance(const std::vector<double>& sq, std::size_t n);
+
+/// The n x n kernel K: the literal distance matrix, or an RBF of it with
+/// the median-distance bandwidth when rbf_sigma <= 0. The squared-distance
+/// buffer is transformed in place, so only one n x n buffer is allocated.
+/// `pool` as for ted_select.
+std::vector<double> build_kernel(const dense::Matrix& x,
+                                 const TedParams& params,
+                                 ThreadPool* pool = nullptr);
+
+/// Greedy selection deflating K in place (K is overwritten).
+std::vector<std::size_t> select_materialized(std::vector<double>& k,
+                                             std::size_t n, std::size_t m,
+                                             double mu);
+
+/// Greedy selection with lazy deflation: K is only read. Pick-equal to
+/// select_materialized on PSD kernels (proven by the TedPickEquality
+/// suite), not bitwise: its floating-point work differs.
+std::vector<std::size_t> select_lazy(const std::vector<double>& k,
+                                     std::size_t n, std::size_t m, double mu,
+                                     ThreadPool* pool = nullptr);
+
+}  // namespace ted_detail
 
 /// Z-scores columns in place over the given rows (helper shared with BTED;
 /// exposed for tests). Constant columns become all-zero.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "support/thread_pool.hpp"
 
 namespace aal::dense {
 
@@ -11,6 +14,42 @@ namespace {
 /// feature matrix stay comfortably inside L1 while the inner loops sweep
 /// their cross product.
 constexpr std::size_t kRowTile = 48;
+
+/// Two doubles in one SSE register; lane-wise + and * are the scalar IEEE
+/// operations.
+typedef double v2d __attribute__((vector_size(16)));
+
+v2d load2(const double* p) {
+  v2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// dot(rows + r * stride, x, n) for r = 0..3. Each row keeps dot()'s four
+/// strided accumulators — (s0, s1) and (s2, s3) as the lanes of two
+/// registers — and its ((s0+s1)+(s2+s3))+tail reduction, so every result
+/// is bitwise what dot() returns.
+void dot4(const double* __restrict rows, std::size_t stride,
+          const double* __restrict x, std::size_t n, double* __restrict out) {
+  v2d lo[4] = {}, hi[4] = {};
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const v2d x_lo = load2(x + c);
+    const v2d x_hi = load2(x + c + 2);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const double* row = rows + r * stride + c;
+      lo[r] += load2(row) * x_lo;
+      hi[r] += load2(row + 2) * x_hi;
+    }
+  }
+  double tail[4] = {};
+  for (; c < n; ++c) {
+    for (std::size_t r = 0; r < 4; ++r) tail[r] += rows[r * stride + c] * x[c];
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    out[r] = ((lo[r][0] + lo[r][1]) + (hi[r][0] + hi[r][1])) + tail[r];
+  }
+}
 
 }  // namespace
 
@@ -41,6 +80,13 @@ double dot(const double* a, const double* b, std::size_t n) {
   double tail = 0.0;
   for (; i < n; ++i) tail += a[i] * b[i];
   return ((s0 + s1) + (s2 + s3)) + tail;
+}
+
+void dot_rows(const double* rows, std::size_t stride, std::size_t count,
+              const double* x, std::size_t n, double* out) {
+  std::size_t r = 0;
+  for (; r + 4 <= count; r += 4) dot4(rows + r * stride, stride, x, n, out + r);
+  for (; r < count; ++r) out[r] = dot(rows + r * stride, x, n);
 }
 
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
@@ -106,7 +152,8 @@ void pairwise_sq_dist_naive(const Matrix& x, std::vector<double>& out) {
   }
 }
 
-void pairwise_sq_dist(const Matrix& x, std::vector<double>& out) {
+void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
+                      ThreadPool* pool) {
   const std::size_t n = x.rows;
   const std::size_t d = x.cols;
   out.resize(n * n);
@@ -115,21 +162,33 @@ void pairwise_sq_dist(const Matrix& x, std::vector<double>& out) {
   for (std::size_t i = 0; i < n; ++i) norms[i] = dot(xd + i * d, xd + i * d, d);
   double* __restrict o = out.data();
   const double* __restrict nrm = norms.data();
-  for (std::size_t ib = 0; ib < n; ib += kRowTile) {
+  // One row tile against every tile at or right of it. A tile owns the
+  // pairs (i, j > i) of its rows, including their mirrored stores, so tiles
+  // are independent and may run on different workers.
+  const auto tile = [&](std::size_t t) {
+    const std::size_t ib = t * kRowTile;
     const std::size_t ie = std::min(n, ib + kRowTile);
     for (std::size_t jb = ib; jb < n; jb += kRowTile) {
       const std::size_t je = std::min(n, jb + kRowTile);
       for (std::size_t i = ib; i < ie; ++i) {
         if (jb <= i) o[i * n + i] = 0.0;  // exact-zero diagonal by fiat
-        const double* xi = xd + i * d;
-        for (std::size_t j = std::max(i + 1, jb); j < je; ++j) {
-          const double sq = nrm[i] + nrm[j] - 2.0 * dot(xi, xd + j * d, d);
+        const std::size_t j0 = std::max(i + 1, jb);
+        double g[kRowTile];
+        dot_rows(xd + j0 * d, d, je - j0, xd + i * d, d, g);
+        for (std::size_t j = j0; j < je; ++j) {
+          const double sq = nrm[i] + nrm[j] - 2.0 * g[j - j0];
           const double clamped = std::max(sq, 0.0);
           o[i * n + j] = clamped;
           o[j * n + i] = clamped;
         }
       }
     }
+  };
+  const std::size_t tiles = (n + kRowTile - 1) / kRowTile;
+  if (pool != nullptr && tiles > 1) {
+    pool->parallel_for(tiles, tile);
+  } else {
+    for (std::size_t t = 0; t < tiles; ++t) tile(t);
   }
 }
 

@@ -20,6 +20,10 @@
 
 #include "support/common.hpp"
 
+namespace aal {
+class ThreadPool;
+}  // namespace aal
+
 namespace aal::dense {
 
 /// Minimal owning row-major matrix. No arithmetic of its own — it exists so
@@ -51,6 +55,12 @@ Matrix from_rows(const std::vector<std::vector<double>>& rows);
 /// need bit-stable streaming sums (k-means) use sq_dist/axpy instead.
 double dot(const double* a, const double* b, std::size_t n);
 
+/// out[r] = dot(rows + r * stride, x, n) for r in [0, count), each bitwise
+/// dot()'s. Four rows at a time share every load of x and keep eight
+/// independent add chains busy instead of dot()'s two.
+void dot_rows(const double* rows, std::size_t stride, std::size_t count,
+              const double* x, std::size_t n, double* out);
+
 /// y += alpha * x, sequential order (bitwise equal to the scalar loop).
 void axpy(double alpha, const double* x, double* y, std::size_t n);
 
@@ -70,8 +80,12 @@ void gram_naive(const Matrix& x, std::vector<double>& out);
 /// Pairwise squared Euclidean distances via the Gram identity
 /// ||xi-xj||^2 = ||xi||^2 + ||xj||^2 - 2<xi,xj>, blocked like gram() and
 /// clamped at zero (the identity can go ~1 ulp negative for near-duplicate
-/// rows). Symmetric with a zero diagonal; `out` is resized to n*n.
-void pairwise_sq_dist(const Matrix& x, std::vector<double>& out);
+/// rows). Symmetric with a zero diagonal; `out` is resized to n*n. Each
+/// <xi,xj> is bitwise dot(xi, xj, d), computed by dot_rows.
+/// With a `pool`, the row tiles run on it (bitwise the serial result); the
+/// caller must not be one of its workers.
+void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
+                      ThreadPool* pool = nullptr);
 
 /// Reference scalar pairwise build: per-pair (a[c]-b[c])^2 accumulation.
 void pairwise_sq_dist_naive(const Matrix& x, std::vector<double>& out);

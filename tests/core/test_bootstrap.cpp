@@ -204,7 +204,7 @@ TEST(BootstrapEnsemble, ScoreConfigsCountsRowsAndHits) {
   const FirstFeatureFactory factory;
   BootstrapEnsemble ensemble(d, factory, 2, rng);
   MetricsRegistry metrics;
-  ensemble.set_obs(Obs{nullptr, &metrics});
+  ensemble.set_obs(Obs{nullptr, &metrics, ""});
 
   const std::vector<Config> first = space.sample_distinct(25, rng);
   ensemble.score_configs(space, {first.data(), first.size()});
@@ -237,7 +237,7 @@ TEST(BootstrapSelect, RepeatedSelectionHitsCacheAndAgrees) {
   const FirstFeatureFactory factory;
   BootstrapEnsemble ensemble(d, factory, 2, rng);
   MetricsRegistry metrics;
-  ensemble.set_obs(Obs{nullptr, &metrics});
+  ensemble.set_obs(Obs{nullptr, &metrics, ""});
 
   const std::vector<Config> candidates = space.sample_distinct(40, rng);
   const std::size_t a = bootstrap_select(ensemble, space, candidates);

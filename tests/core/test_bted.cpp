@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <set>
+#include <thread>
 
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace aal {
@@ -122,12 +125,84 @@ TEST_F(BtedTest, ValidatesParams) {
   EXPECT_THROW(bted_sample(task_, p, rng), InvalidArgument);
 }
 
+TEST_F(BtedTest, LiteralDistanceKernelWithLargeBatches) {
+  // Batches above 1024 points once sent the non-PSD literal distance
+  // kernel down the lazy path, which threw.
+  BtedParams p = quick_params();
+  p.kernel = TedKernel::kEuclideanDistance;
+  p.batch_sample_size = 1100;
+  p.num_batches = 2;
+  Rng rng(8);
+  const auto configs = bted_sample(task_, p, rng);
+  EXPECT_EQ(configs.size(), 16u);
+}
+
 TEST_F(BtedTest, PaperDefaultsAreEncoded) {
   const BtedParams defaults;
   EXPECT_DOUBLE_EQ(defaults.mu, 0.1);
   EXPECT_EQ(defaults.batch_sample_size, 500);
   EXPECT_EQ(defaults.num_select, 64);
   EXPECT_EQ(defaults.num_batches, 10);
+}
+
+// Concurrency: serve workers call bted_sample from several threads at
+// once, and `tune_model --jobs` lanes call it from a dedicated pool's
+// workers. Both fan the batch TEDs and the final pass out over the shared
+// pool; each must finish and return the serial result.
+
+BtedParams concurrency_params() {
+  BtedParams p;
+  p.batch_sample_size = 300;
+  p.num_select = 32;
+  p.num_batches = 6;
+  return p;
+}
+
+std::vector<std::int64_t> flats(const std::vector<Config>& configs) {
+  std::vector<std::int64_t> out;
+  for (const Config& c : configs) out.push_back(c.flat);
+  return out;
+}
+
+std::vector<std::int64_t> serial_flats(const TuningTask& task,
+                                       std::uint64_t seed) {
+  BtedParams p = concurrency_params();
+  p.parallel = false;
+  Rng rng(seed);
+  return flats(bted_sample(task, p, rng));
+}
+
+TEST(BtedConcurrency, TwoThreadsAtOnceMatchSerial) {
+  const TuningTask task(testing::small_conv_workload(),
+                        make_target("gpu-pascal"));
+  std::vector<std::int64_t> got[2];
+  std::thread threads[2];
+  for (int t = 0; t < 2; ++t) {
+    threads[t] = std::thread([&task, &got, t] {
+      Rng rng(40 + t);
+      got[t] = flats(bted_sample(task, concurrency_params(), rng));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(got[t], serial_flats(task, 40 + t)) << "thread " << t;
+    EXPECT_EQ(got[t].size(), 32u);
+  }
+}
+
+TEST(BtedConcurrency, InsideADedicatedPoolWorkerMatchesSerial) {
+  const TuningTask task(testing::small_conv_workload(),
+                        make_target("gpu-pascal"));
+  ThreadPool lanes(2);
+  std::vector<std::future<std::vector<std::int64_t>>> futures;
+  for (std::uint64_t seed : {50u, 51u}) {
+    futures.push_back(lanes.submit([&task, seed] {
+      Rng rng(seed);
+      return flats(bted_sample(task, concurrency_params(), rng));
+    }));
+  }
+  EXPECT_EQ(futures[0].get(), serial_flats(task, 50));
+  EXPECT_EQ(futures[1].get(), serial_flats(task, 51));
 }
 
 }  // namespace

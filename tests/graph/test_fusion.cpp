@@ -49,7 +49,9 @@ TEST(Fusion, MultiConsumerStopsFusion) {
   g.relu("r2", conv);
   const FusedGraph fused = fuse(g);
   for (const auto& grp : fused.groups) {
-    if (grp.workload) EXPECT_EQ(grp.nodes.size(), 1u);
+    if (grp.workload) {
+      EXPECT_EQ(grp.nodes.size(), 1u);
+    }
   }
 }
 

@@ -63,7 +63,9 @@ TEST_F(MeasureTest, BestTracksMaxGflops) {
   const auto best = measurer_.best();
   ASSERT_TRUE(best.has_value());
   for (const auto& r : measurer_.all_results()) {
-    if (r.ok) EXPECT_LE(r.gflops, best->gflops);
+    if (r.ok) {
+      EXPECT_LE(r.gflops, best->gflops);
+    }
   }
 }
 
@@ -82,10 +84,10 @@ TEST_F(MeasureTest, PreloadSeedsCacheAndBest) {
   const Config a = task_.space().sample(rng);
   const Config b = task_.space().sample(rng);
   std::vector<TuningRecord> records;
-  records.push_back(TuningRecord{task_.key(), a.flat, true, 1234.5, 10.0});
-  records.push_back(TuningRecord{task_.key(), b.flat, false, 0.0, 0.0});
-  records.push_back(TuningRecord{"other/task", 0, true, 9999.0, 1.0});
-  records.push_back(TuningRecord{task_.key(), -5, true, 1.0, 1.0});  // bad flat
+  records.push_back(TuningRecord{task_.key(), a.flat, true, 1234.5, 10.0, ""});
+  records.push_back(TuningRecord{task_.key(), b.flat, false, 0.0, 0.0, ""});
+  records.push_back(TuningRecord{"other/task", 0, true, 9999.0, 1.0, ""});
+  records.push_back(TuningRecord{task_.key(), -5, true, 1.0, 1.0, ""});  // bad flat
 
   EXPECT_EQ(measurer_.preload(records), 2u);
   EXPECT_EQ(measurer_.num_measured(), 2);
@@ -107,7 +109,7 @@ TEST_F(MeasureTest, PreloadIgnoresDuplicates) {
   const Config a = task_.space().sample(rng);
   measurer_.measure(a);
   std::vector<TuningRecord> records{
-      TuningRecord{task_.key(), a.flat, true, 99999.0, 1.0}};
+      TuningRecord{task_.key(), a.flat, true, 99999.0, 1.0, ""}};
   EXPECT_EQ(measurer_.preload(records), 0u);  // live result wins
 }
 
@@ -200,7 +202,7 @@ TEST_F(MeasureTest, ResumeThenMeasureEqualsFreshMeasure) {
   for (const auto& r : fresh.all_results()) {
     if (static_cast<std::size_t>(records.size()) >= first_half.size()) break;
     records.push_back(TuningRecord{task_.key(), r.config.flat, r.ok, r.gflops,
-                                   r.mean_time_us});
+                                   r.mean_time_us, ""});
   }
   SimulatedDevice resumed_device(spec_, 321);
   Measurer resumed(task_, resumed_device, 3);
@@ -256,7 +258,7 @@ TEST_F(MeasureTest, PreloadKeepsPersistedErrorString) {
   records.push_back(TuningRecord{task_.key(), a.flat, false, 0.0, 0.0,
                                  "transient timeout (injected, attempt 0)"});
   // Legacy record without an error column falls back to the placeholder.
-  records.push_back(TuningRecord{task_.key(), b.flat, false, 0.0, 0.0});
+  records.push_back(TuningRecord{task_.key(), b.flat, false, 0.0, 0.0, ""});
   ASSERT_EQ(measurer_.preload(records), 2u);
   EXPECT_EQ(measurer_.measure(a).error,
             "transient timeout (injected, attempt 0)");
@@ -344,7 +346,9 @@ TEST(TuningTaskTest, KeyAndSpace) {
   const KernelProfile a = task.profile(c);
   const KernelProfile b = model.profile(task.space(), c);
   EXPECT_EQ(a.valid, b.valid);
-  if (a.valid) EXPECT_DOUBLE_EQ(a.base_time_us, b.base_time_us);
+  if (a.valid) {
+    EXPECT_DOUBLE_EQ(a.base_time_us, b.base_time_us);
+  }
 }
 
 
@@ -361,8 +365,8 @@ TEST_F(MeasureTest, PreloadCountsAsCacheHitsNotMeasurements) {
   const Config a = task_.space().sample(rng);
   const Config b = task_.space().sample(rng);
   std::vector<TuningRecord> records;
-  records.push_back(TuningRecord{task_.key(), a.flat, true, 1000.0, 1.0});
-  records.push_back(TuningRecord{task_.key(), b.flat, true, 2000.0, 1.0});
+  records.push_back(TuningRecord{task_.key(), a.flat, true, 1000.0, 1.0, ""});
+  records.push_back(TuningRecord{task_.key(), b.flat, true, 2000.0, 1.0, ""});
   ASSERT_EQ(measurer_.preload(records), 2u);
 
   EXPECT_EQ(metrics.counter_value("measure.preloaded"), 2);

@@ -49,7 +49,9 @@ TEST(SaOptimizer, TopKSortedAndDistinct) {
   std::unordered_set<std::int64_t> flats;
   for (std::size_t i = 0; i < top.size(); ++i) {
     EXPECT_TRUE(flats.insert(top[i].flat).second);
-    if (i > 0) EXPECT_GE(score(top[i - 1]), score(top[i]));
+    if (i > 0) {
+      EXPECT_GE(score(top[i - 1]), score(top[i]));
+    }
   }
 }
 

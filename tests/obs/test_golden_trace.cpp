@@ -12,8 +12,8 @@
 //
 // To regenerate the golden file after an *intentional* schema change:
 //
-//   AAL_REGEN_GOLDEN=1 ./build/tests/aaltune_tests \
-//       --gtest_filter='ObsGoldenTrace.*'
+//   AAL_REGEN_GOLDEN=1 ./build/tests/aaltune_tests
+//       --gtest_filter='ObsGoldenTrace.*'         (one command line)
 //
 // then review the diff of tests/obs/golden/dense_bao_trace.jsonl like any
 // other source change.

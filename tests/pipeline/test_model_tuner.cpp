@@ -91,7 +91,7 @@ TEST_F(ModelTunerTest, ResumeFromRecordsMakesHistoryFree) {
   RecordDatabase db;
   for (const auto& t : first.tasks) {
     for (const auto& p : t.result.history) {
-      db.add(TuningRecord{t.task_key, p.flat, p.ok, p.gflops, 0.0});
+      db.add(TuningRecord{t.task_key, p.flat, p.ok, p.gflops, 0.0, ""});
     }
   }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/bted.hpp"
 #include "core/ted.hpp"
 #include "ml/binned.hpp"
 #include "ml/gbdt.hpp"
@@ -28,6 +29,7 @@
 #include "support/dense.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 namespace aal::reference {
 
@@ -122,6 +124,148 @@ inline std::vector<std::size_t> ted_select(std::vector<std::vector<double>> x,
     }
   }
   return selected;
+}
+
+// ---------------------------------------------------------------------------
+// TED kernel build (core/ted.cpp and dense::pairwise_sq_dist before the
+// register-blocked pairwise loop and the radix-select median)
+
+/// Pairwise squared distances through the Gram identity, 48-row tiles, one
+/// dense::dot per pair.
+inline void pairwise_sq_dist_blocked(const dense::Matrix& x,
+                                     std::vector<double>& out) {
+  constexpr std::size_t kRowTile = 48;
+  const std::size_t n = x.rows;
+  const std::size_t d = x.cols;
+  out.resize(n * n);
+  std::vector<double> norms(n);
+  const double* __restrict xd = x.data.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    norms[i] = dense::dot(xd + i * d, xd + i * d, d);
+  }
+  double* __restrict o = out.data();
+  const double* __restrict nrm = norms.data();
+  for (std::size_t ib = 0; ib < n; ib += kRowTile) {
+    const std::size_t ie = std::min(n, ib + kRowTile);
+    for (std::size_t jb = ib; jb < n; jb += kRowTile) {
+      const std::size_t je = std::min(n, jb + kRowTile);
+      for (std::size_t i = ib; i < ie; ++i) {
+        if (jb <= i) o[i * n + i] = 0.0;
+        const double* xi = xd + i * d;
+        for (std::size_t j = std::max(i + 1, jb); j < je; ++j) {
+          const double sq =
+              nrm[i] + nrm[j] - 2.0 * dense::dot(xi, xd + j * d, d);
+          const double clamped = std::max(sq, 0.0);
+          o[i * n + j] = clamped;
+          o[j * n + i] = clamped;
+        }
+      }
+    }
+  }
+}
+
+/// Median distance: copy the strict upper triangle, nth_element on the
+/// squared values, square roots of the one or two middle elements.
+inline double median_distance(const std::vector<double>& sq, std::size_t n) {
+  if (n < 2) return 1.0;
+  std::vector<double> off;
+  off.reserve(n * (n - 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    off.insert(off.end(), sq.data() + i * n + i + 1, sq.data() + i * n + n);
+  }
+  const std::size_t mid = off.size() / 2;
+  std::nth_element(off.begin(), off.begin() + static_cast<std::ptrdiff_t>(mid),
+                   off.end());
+  const double hi = std::sqrt(off[mid]);
+  if (off.size() % 2 == 1) return hi;
+  const double lo = std::sqrt(*std::max_element(
+      off.begin(), off.begin() + static_cast<std::ptrdiff_t>(mid)));
+  return 0.5 * (lo + hi);
+}
+
+/// The kernel build: the pairwise matrix, the median bandwidth, then a
+/// row-by-row in-place transform with the mirrored stores down column i.
+inline std::vector<double> build_ted_kernel(const dense::Matrix& x,
+                                            const TedParams& params) {
+  const std::size_t n = x.rows;
+  std::vector<double> k;
+  pairwise_sq_dist_blocked(x, k);
+  if (params.kernel == TedKernel::kEuclideanDistance) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d = std::sqrt(k[i * n + j]);
+        k[i * n + j] = d;
+        k[j * n + i] = d;
+      }
+    }
+    return k;
+  }
+  double sigma = params.rbf_sigma;
+  if (sigma <= 0.0) {
+    sigma = std::max(1e-9, median_distance(k, n));
+  }
+  const double inv = 1.0 / (2.0 * sigma * sigma);
+  for (std::size_t i = 0; i < n; ++i) {
+    k[i * n + i] = 1.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double e = std::exp(-k[i * n + j] * inv);
+      k[i * n + j] = e;
+      k[j * n + i] = e;
+    }
+  }
+  return k;
+}
+
+// ---------------------------------------------------------------------------
+// BTED (core/bted.cpp before the final TED ran on the shared pool)
+
+/// bted_sample with the B batch TEDs on the shared pool (when
+/// params.parallel) and the final TED over the union run serially.
+inline std::vector<Config> bted_sample(const TuningTask& task,
+                                       const BtedParams& params, Rng& rng) {
+  const ConfigSpace& space = task.space();
+  TedParams ted;
+  ted.mu = params.mu;
+  ted.kernel = params.kernel;
+  const auto featurize = [&](const std::vector<Config>& configs) {
+    return space.features_batch(
+        std::span<const Config>{configs.data(), configs.size()});
+  };
+  const auto pick = [](const std::vector<Config>& pool,
+                       const std::vector<std::size_t>& indices) {
+    std::vector<Config> out;
+    out.reserve(indices.size());
+    for (std::size_t i : indices) out.push_back(pool[i]);
+    return out;
+  };
+  std::vector<std::vector<Config>> batches(
+      static_cast<std::size_t>(params.num_batches));
+  for (auto& batch : batches) {
+    batch = space.sample_distinct(params.batch_sample_size, rng);
+  }
+  std::vector<std::vector<Config>> selected(batches.size());
+  auto run_batch = [&](std::size_t b) {
+    const auto features = featurize(batches[b]);
+    const auto indices = ted_select(
+        features, static_cast<std::size_t>(params.num_select), ted);
+    selected[b] = pick(batches[b], indices);
+  };
+  if (params.parallel && batches.size() > 1) {
+    ThreadPool::shared().parallel_for(batches.size(), run_batch);
+  } else {
+    for (std::size_t b = 0; b < batches.size(); ++b) run_batch(b);
+  }
+  std::vector<Config> union_set;
+  std::unordered_set<std::int64_t> seen;
+  for (const auto& sel : selected) {
+    for (const Config& c : sel) {
+      if (seen.insert(c.flat).second) union_set.push_back(c);
+    }
+  }
+  const auto features = featurize(union_set);
+  const auto indices = ted_select(
+      features, static_cast<std::size_t>(params.num_select), ted);
+  return pick(union_set, indices);
 }
 
 // ---------------------------------------------------------------------------

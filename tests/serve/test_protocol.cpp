@@ -220,12 +220,14 @@ TEST(ServingDocs, EveryOpAndErrorCodeIsDocumented) {
   const std::string doc = read_serving_doc();
   EXPECT_NE(doc.find(kServeProtocolVersion), std::string::npos);
   for (const ServeOp op : kAllOps) {
-    EXPECT_NE(doc.find("`" + std::string(serve_op_name(op)) + "`"),
+    EXPECT_NE(doc.find(std::string("`").append(serve_op_name(op)).append("`")),
               std::string::npos)
         << "op not documented: " << serve_op_name(op);
   }
   for (const ServeErrorCode code : kAllCodes) {
-    EXPECT_NE(doc.find("`" + std::string(serve_error_code_name(code)) + "`"),
+    EXPECT_NE(doc.find(std::string("`")
+                           .append(serve_error_code_name(code))
+                           .append("`")),
               std::string::npos)
         << "error code not documented: " << serve_error_code_name(code);
   }

@@ -30,7 +30,7 @@ ConfigSpace random_space(Rng& rng) {
   std::vector<Knob> knobs;
   const int num_knobs = 2 + static_cast<int>(rng.next_index(3));
   for (int i = 0; i < num_knobs; ++i) {
-    const std::string name = "k" + std::to_string(i);
+    const std::string name = std::string("k").append(std::to_string(i));
     if (rng.next_bernoulli(0.5)) {
       knobs.push_back(Knob::split(
           name, extents[rng.next_index(5)], 2 + static_cast<int>(rng.next_index(2))));

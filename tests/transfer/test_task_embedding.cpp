@@ -116,7 +116,7 @@ class TaskIndexStoreTest : public ::testing::Test {
     std::vector<std::string> out;
     for (const PriorTask& t : index.nearest(query, target, 8, 1e9)) {
       std::string line = t.task_key + "|" + std::to_string(t.distance);
-      for (double v : t.embedding) line += "," + std::to_string(v);
+      for (double v : t.embedding) line.append(",").append(std::to_string(v));
       out.push_back(std::move(line));
     }
     return out;

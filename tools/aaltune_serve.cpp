@@ -1,7 +1,8 @@
 // aaltune_serve: the tuning-as-a-service daemon.
 //
-//   aaltune_serve --socket /run/aaltune.sock --workers 4 \
+//   aaltune_serve --socket /run/aaltune.sock --workers 4
 //                 --measure-threads 8 --store /var/lib/aaltune/store
+//                                                  (one command line)
 //
 // Accepts tuning jobs over a Unix-domain socket speaking the line-
 // delimited JSON protocol documented in docs/SERVING.md, multiplexes them
