@@ -8,9 +8,10 @@
 // The (task x arm) grid cells are independent (seeds derive from the cell
 // position), so AAL_JOBS>1 runs them concurrently with bitwise-identical
 // output; the wall-clock line at the end records the speedup.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <future>
 
 #include "exp_common.hpp"
 #include "graph/fusion.hpp"
@@ -49,20 +50,19 @@ int main() {
     std::fprintf(stderr, "[fig5] T%zu %s done\n", ti + 1,
                  arms[a].label.c_str());
   };
-  if (jobs() <= 1) {
-    for (std::size_t ti = 0; ti < conv_tasks.size(); ++ti) {
-      for (std::size_t a = 0; a < arms.size(); ++a) run_cell(ti, a);
-    }
-  } else {
-    ThreadPool pool(static_cast<std::size_t>(jobs()));
-    std::vector<std::future<void>> cells;
-    for (std::size_t ti = 0; ti < conv_tasks.size(); ++ti) {
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        cells.push_back(pool.submit([&run_cell, ti, a] { run_cell(ti, a); }));
-      }
-    }
-    for (auto& c : cells) c.get();
-  }
+  // min(jobs, cells) runners on the shared pool, each claiming cells in
+  // (task, arm) order; with one runner that is the serial loop.
+  const std::size_t cells = conv_tasks.size() * arms.size();
+  std::atomic<std::size_t> next_cell{0};
+  ThreadPool::shared().parallel_for(
+      std::min(static_cast<std::size_t>(jobs()), cells),
+      [&](std::size_t) {
+        for (;;) {
+          const std::size_t c = next_cell.fetch_add(1);
+          if (c >= cells) return;
+          run_cell(c / arms.size(), c % arms.size());
+        }
+      });
 
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

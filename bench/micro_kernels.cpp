@@ -147,24 +147,6 @@ Dataset measured_dataset(const TuningTask& task, std::size_t rows) {
 std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
   std::vector<BenchEntry> out;
 
-  {  // Gram matrix: blocked vs naive triple loop.
-    const std::size_t n = smoke ? 64 : 512, d = 16;
-    const dense::Matrix x = random_matrix(n, d, 11);
-    std::vector<double> g;
-    BenchEntry e{"gram",
-                 {{"n", static_cast<long long>(n)},
-                  {"d", static_cast<long long>(d)}}};
-    e.median_ms = time_median_ms(repeats, smoke ? 8 : 3, [&] {
-      dense::gram(x, g);
-      sink(g[0]);
-    });
-    e.baseline_median_ms = time_median_ms(repeats, smoke ? 8 : 3, [&] {
-      dense::gram_naive(x, g);
-      sink(g[0]);
-    });
-    out.push_back(std::move(e));
-  }
-
   {  // Pairwise squared distance: Gram-identity build vs per-pair loops.
     const std::size_t n = smoke ? 64 : 1024, d = 16;
     const dense::Matrix x = random_matrix(n, d, 12);
@@ -177,7 +159,7 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
       sink(sq[1]);
     });
     e.baseline_median_ms = time_median_ms(repeats, smoke ? 8 : 2, [&] {
-      dense::pairwise_sq_dist_naive(x, sq);
+      reference::pairwise_sq_dist_naive(x, sq);
       sink(sq[1]);
     });
     out.push_back(std::move(e));
@@ -325,18 +307,17 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
                   {"candidates", static_cast<long long>(batch.rows)}}};
     e.median_ms = time_median_ms(repeats, 1, [&] {
       Rng rng(31);
-      const BootstrapEnsemble ensemble(data, factory, gamma, rng,
-                                       /*parallel_fit=*/true);
+      const BootstrapEnsemble ensemble(data, factory, gamma, rng);
       const std::vector<double> scores = ensemble.score_all(batch);
       sink(scores[0]);
     });
     e.baseline_median_ms = time_median_ms(repeats, 1, [&] {
       Rng rng(31);
-      const BootstrapEnsemble ensemble(data, factory, gamma, rng,
-                                       /*parallel_fit=*/false);
+      const auto models = reference::bootstrap_fit(data, factory, gamma, rng);
       double acc = 0.0;
       for (std::size_t i = 0; i < batch.rows; ++i) {
-        acc += ensemble.score(std::span<const double>{batch.row(i), batch.cols});
+        acc += reference::bootstrap_score(
+            models, std::span<const double>{batch.row(i), batch.cols});
       }
       sink(acc);
     });
@@ -570,9 +551,9 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
   }
 
   {  // BTED initialization end to end. Baseline: the same batch stage with
-     // the final TED over the union run serially, as before it split its
+     // every TED (batch and final) serial inside, as before each split its
      // kernel build and per-pick mat-vec over the shared pool. The two must
-     // return the same configs; the gain needs more than one pool thread.
+     // return the same configs; the gain needs more than one CPU.
     BtedParams params;
     if (smoke) {
       params.num_batches = 2;
@@ -587,7 +568,7 @@ std::vector<BenchEntry> run_tuner_suite(int repeats, bool smoke,
       for (std::size_t i = 0; same && i < got.size(); ++i) {
         same = got[i].flat == want[i].flat;
       }
-      AAL_CHECK(same, "bted_sample diverged from the serial-final reference");
+      AAL_CHECK(same, "bted_sample diverged from the serial-TED reference");
     }
     BenchEntry e{"bted_sample",
                  {{"B", params.num_batches},

@@ -10,7 +10,7 @@ namespace aal {
 
 BootstrapEnsemble::BootstrapEnsemble(const Dataset& data,
                                      const SurrogateFactory& factory,
-                                     int gamma, Rng& rng, bool parallel_fit) {
+                                     int gamma, Rng& rng) {
   AAL_CHECK(gamma >= 1, "bootstrap gamma must be >= 1");
   AAL_CHECK(!data.empty(), "bootstrap ensemble needs measured data");
 
@@ -35,11 +35,7 @@ BootstrapEnsemble::BootstrapEnsemble(const Dataset& data,
     model->fit(resample);
     models_[g] = std::move(model);  // fixed slot: reduction order is static
   };
-  if (parallel_fit && gamma > 1 && ThreadPool::shared().size() > 1) {
-    ThreadPool::shared().parallel_for(models_.size(), fit_one);
-  } else {
-    for (std::size_t g = 0; g < models_.size(); ++g) fit_one(g);
-  }
+  ThreadPool::shared().parallel_for(models_.size(), fit_one);
 }
 
 double BootstrapEnsemble::score(std::span<const double> features) const {

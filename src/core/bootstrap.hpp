@@ -40,11 +40,11 @@ struct BootstrapParams {
 class BootstrapEnsemble {
  public:
   /// Fits Gamma models on resamples of `data`. Each model gets an
-  /// independent seed derived from `rng`. With `parallel_fit` (the default)
-  /// the fits fan out over ThreadPool::shared(); results are
-  /// bitwise-identical to a serial construction either way.
+  /// independent seed derived from `rng`. The fits fan out over
+  /// ThreadPool::shared(); the models are bitwise those of a serial loop
+  /// (reference::bootstrap_fit in tests/reference).
   BootstrapEnsemble(const Dataset& data, const SurrogateFactory& factory,
-                    int gamma, Rng& rng, bool parallel_fit = true);
+                    int gamma, Rng& rng);
 
   /// Sum of the Gamma models' predictions (the BS acquisition value).
   double score(std::span<const double> features) const;

@@ -38,25 +38,21 @@ std::vector<Config> bted_sample(const TuningTask& task,
   ted.kernel = params.kernel;
 
   // Draw each batch's candidate set up front (deterministic order from the
-  // caller's rng), then run the B TED selections, optionally in parallel.
+  // caller's rng), then run the B TED selections on the shared pool.
   std::vector<std::vector<Config>> batches(
       static_cast<std::size_t>(params.num_batches));
   for (auto& batch : batches) {
     batch = space.sample_distinct(params.batch_sample_size, rng);
   }
 
+  ThreadPool& pool = ThreadPool::shared();
   std::vector<std::vector<Config>> selected(batches.size());
-  auto run_batch = [&](std::size_t b) {
+  pool.parallel_for(batches.size(), [&](std::size_t b) {
     const auto features = featurize(space, batches[b]);
     const auto indices = ted_select(
-        features, static_cast<std::size_t>(params.num_select), ted);
+        features, static_cast<std::size_t>(params.num_select), ted, &pool);
     selected[b] = pick(batches[b], indices);
-  };
-  if (params.parallel && batches.size() > 1) {
-    ThreadPool::shared().parallel_for(batches.size(), run_batch);
-  } else {
-    for (std::size_t b = 0; b < batches.size(); ++b) run_batch(b);
-  }
+  });
 
   // Union of per-batch picks (dedup by flat index, stable order).
   std::vector<Config> union_set;
@@ -67,13 +63,10 @@ std::vector<Config> bted_sample(const TuningTask& task,
     }
   }
 
-  // Final TED pass over the union, split over row blocks on the shared
-  // pool. The batch TEDs above ran *on* its workers and so stay serial
-  // inside; this call is made from the caller's thread.
+  // Final TED pass over the union.
   const auto features = featurize(space, union_set);
-  const auto indices =
-      ted_select(features, static_cast<std::size_t>(params.num_select), ted,
-                 params.parallel ? &ThreadPool::shared() : nullptr);
+  const auto indices = ted_select(
+      features, static_cast<std::size_t>(params.num_select), ted, &pool);
   return pick(union_set, indices);
 }
 

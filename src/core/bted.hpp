@@ -1,11 +1,14 @@
 // Batch Transductive Experimental Design — Algorithm 2 of the paper.
 //
 // B batches are drawn uniformly from the configuration space (|V_b| = M
-// each), TED selects m diverse configurations from each batch (in parallel),
-// the per-batch picks are unioned (<= B*m points) and a final TED pass over
-// the union returns the m-point initial set. The randomness is what makes
-// the method scale to 10^8-point spaces: TED itself only ever sees M-point
-// matrices. Paper defaults: (mu=0.1, M=500, m=64, B=10).
+// each), TED selects m diverse configurations from each batch, the
+// per-batch picks are unioned (<= B*m points) and a final TED pass over the
+// union returns the m-point initial set. The batch TEDs run on the shared
+// thread pool, and each TED (batch and final) splits its kernel build and
+// per-pick mat-vec over row blocks on it too; the result is bitwise the
+// serial one (reference::bted_sample in tests/reference). The randomness is
+// what makes the method scale to 10^8-point spaces: TED itself only ever
+// sees M-point matrices. Paper defaults: (mu=0.1, M=500, m=64, B=10).
 #pragma once
 
 #include <vector>
@@ -24,11 +27,6 @@ struct BtedParams {
   int num_select = 64;                   // m
   int num_batches = 10;                  // B
   TedKernel kernel = TedKernel::kRbf;  // see TedParams::kernel
-  /// Run the B per-batch TED selections on the shared thread pool, and
-  /// split the final TED's kernel build and per-pick mat-vec over row
-  /// blocks on it. Either way the result is bitwise the serial one. With
-  /// true, bted_sample must not be called from a shared-pool worker.
-  bool parallel = true;
 };
 
 /// Runs BTED over a task's configuration space and returns the initial set

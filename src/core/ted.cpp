@@ -14,9 +14,8 @@ namespace aal {
 
 namespace {
 
-/// Runs body(begin, end) over row blocks of [0, n): one block per worker
-/// of `pool`, or all of [0, n) inline without a pool. The caller must not
-/// be one of `pool`'s workers (it waits on them).
+/// Runs body(begin, end) over row blocks of [0, n): one block per hand of
+/// `pool`, or all of [0, n) inline without a pool.
 template <typename Body>
 void for_row_blocks(std::size_t n, ThreadPool* pool, const Body& body) {
   const std::size_t blocks = pool == nullptr ? 1 : std::min(n, pool->size());

@@ -48,8 +48,8 @@ struct TedParams {
 /// (non-PSD) the materialized one; see docs/PERF.md for the measured costs.
 /// With a `pool`, the kernel build and the lazy path's per-pick mat-vec
 /// split over row blocks on it; every row's arithmetic is unchanged, so the
-/// picks are bitwise those of the serial call. The caller must not be one
-/// of `pool`'s workers: it blocks waiting on them.
+/// picks are bitwise those of the serial call. The caller may itself be
+/// running on `pool` (BTED's batch TEDs do).
 std::vector<std::size_t> ted_select(const dense::Matrix& features,
                                     std::size_t m,
                                     const TedParams& params = {},

@@ -28,8 +28,9 @@ class MeasureBackend {
   virtual void dispatch(std::size_t n,
                         const std::function<void(std::size_t)>& fn) = 0;
 
-  /// High-water mark of the underlying work queue, if any (feeds the
-  /// `pool.queue_high_water` gauge). 0 for backends without a queue.
+  /// Largest number of dispatches open at once on the underlying pool, if
+  /// any (feeds the `pool.queue_high_water` gauge). 0 for backends without
+  /// a pool.
   virtual std::size_t queue_high_water() const { return 0; }
 };
 
@@ -42,7 +43,8 @@ class SerialBackend final : public MeasureBackend {
 };
 
 /// Fans items out over a ThreadPool. With `threads` == 0 the process-wide
-/// shared pool is used; otherwise the backend owns a pool of that size.
+/// shared pool is used; otherwise the backend owns a pool of that size
+/// (the dispatching thread counts as one of them).
 class ParallelBackend final : public MeasureBackend {
  public:
   explicit ParallelBackend(std::size_t threads = 0);

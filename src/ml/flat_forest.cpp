@@ -14,7 +14,7 @@ namespace {
 /// and accumulator arrays still fit comfortably in L1).
 constexpr std::size_t kRowBlock = 64;
 
-/// Below this many rows the pool's queueing overhead beats the fan-out;
+/// Below this many rows the pool's dispatch overhead beats the fan-out;
 /// thresholds affect wall-clock only, never results (rows are independent).
 constexpr std::size_t kParallelMinRows = 4 * kRowBlock;
 
@@ -256,7 +256,7 @@ void FlatForest::predict_batch(std::span<const double> features,
     walk_block<kRowBlock>(nodes, roots, depths, num_trees, x, cols, lr, base,
                           scale, begin, std::min(kRowBlock, rows - begin), o);
   };
-  if (rows >= kParallelMinRows && ThreadPool::shared().size() > 1) {
+  if (rows >= kParallelMinRows) {
     ThreadPool::shared().parallel_for(num_blocks, run_one);
   } else {
     for (std::size_t blk = 0; blk < num_blocks; ++blk) run_one(blk);

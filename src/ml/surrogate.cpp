@@ -20,7 +20,7 @@ void Surrogate::predict_batch(std::span<const double> features,
   // Rows are independent, so the fan-out cannot change any value; the
   // threshold only balances pool overhead against per-row model cost.
   constexpr std::size_t kParallelMinRows = 256;
-  if (rows >= kParallelMinRows && ThreadPool::shared().size() > 1) {
+  if (rows >= kParallelMinRows) {
     ThreadPool::shared().parallel_for(rows, predict_row);
   } else {
     for (std::size_t r = 0; r < rows; ++r) predict_row(r);

@@ -10,7 +10,7 @@ namespace aal::dense {
 
 namespace {
 
-/// Row-tile edge for the blocked builders: two 48-row tiles of a d<=32
+/// Row-tile edge of pairwise_sq_dist: two 48-row tiles of a d<=32
 /// feature matrix stay comfortably inside L1 while the inner loops sweep
 /// their cross product.
 constexpr std::size_t kRowTile = 48;
@@ -100,56 +100,6 @@ double sq_dist(const double* a, const double* b, std::size_t n) {
     acc += d * d;
   }
   return acc;
-}
-
-void gram_naive(const Matrix& x, std::vector<double>& out) {
-  const std::size_t n = x.rows;
-  out.assign(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < x.cols; ++c) acc += x.at(i, c) * x.at(j, c);
-      out[i * n + j] = acc;
-    }
-  }
-}
-
-void gram(const Matrix& x, std::vector<double>& out) {
-  const std::size_t n = x.rows;
-  const std::size_t d = x.cols;
-  out.resize(n * n);
-  // Raw restrict-qualified pointers: the compiler cannot otherwise prove the
-  // result stores don't alias the feature loads, and keeps reloading them.
-  double* __restrict o = out.data();
-  const double* __restrict xd = x.data.data();
-  for (std::size_t ib = 0; ib < n; ib += kRowTile) {
-    const std::size_t ie = std::min(n, ib + kRowTile);
-    for (std::size_t jb = ib; jb < n; jb += kRowTile) {
-      const std::size_t je = std::min(n, jb + kRowTile);
-      for (std::size_t i = ib; i < ie; ++i) {
-        const double* xi = xd + i * d;
-        for (std::size_t j = std::max(i, jb); j < je; ++j) {
-          // Mirror inside the tile while its lines are cache-hot; a separate
-          // mirror pass would re-stream the whole matrix.
-          const double v = dot(xi, xd + j * d, d);
-          o[i * n + j] = v;
-          o[j * n + i] = v;
-        }
-      }
-    }
-  }
-}
-
-void pairwise_sq_dist_naive(const Matrix& x, std::vector<double>& out) {
-  const std::size_t n = x.rows;
-  out.assign(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = sq_dist(x.row(i), x.row(j), x.cols);
-      out[i * n + j] = d;
-      out[j * n + i] = d;
-    }
-  }
 }
 
 void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,

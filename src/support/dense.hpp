@@ -5,14 +5,14 @@
 // (Algorithms 1-2), the per-resample surrogate fits of BS/BAO (Algorithms
 // 3-4), and the k-means / MLP inner loops of the auxiliary models. Those
 // hot loops share this layer instead of each carrying its own scalar
-// triple-loop: a flat row-major matrix, cache-blocked Gram / pairwise
-// squared-distance builders, unrolled dot/axpy, a one-pass Welford column
+// triple-loop: a flat row-major matrix, a cache-blocked pairwise
+// squared-distance builder, unrolled dot/axpy, a one-pass Welford column
 // standardizer, and the rank-one-deflation step of TED.
 //
-// Every blocked kernel has a `*_naive` reference twin used by the unit
-// tests (agreement within 1e-12) and by `bench/micro_kernels` as the
-// baseline side of the BENCH_kernels.json speedup tables. See docs/PERF.md
-// for the measured numbers and the benchmark methodology.
+// The scalar loops these kernels replaced live in tests/reference
+// (`aal_reference`): the unit tests' oracles and the baseline side of
+// bench/micro_kernels' BENCH_kernels.json rows. See docs/PERF.md for the
+// measured numbers and the benchmark methodology.
 #pragma once
 
 #include <cstddef>
@@ -69,26 +69,14 @@ void axpy(double alpha, const double* x, double* y, std::size_t n);
 /// exact numerical behavior.
 double sq_dist(const double* a, const double* b, std::size_t n);
 
-/// Gram matrix out[i*n+j] = <x_i, x_j> for the n x d row-major `x`.
-/// Cache-blocked over row tiles; only the upper triangle is computed and
-/// mirrored. `out` is resized to n*n.
-void gram(const Matrix& x, std::vector<double>& out);
-
-/// Reference scalar Gram build (test oracle / bench baseline).
-void gram_naive(const Matrix& x, std::vector<double>& out);
-
 /// Pairwise squared Euclidean distances via the Gram identity
-/// ||xi-xj||^2 = ||xi||^2 + ||xj||^2 - 2<xi,xj>, blocked like gram() and
-/// clamped at zero (the identity can go ~1 ulp negative for near-duplicate
-/// rows). Symmetric with a zero diagonal; `out` is resized to n*n. Each
-/// <xi,xj> is bitwise dot(xi, xj, d), computed by dot_rows.
-/// With a `pool`, the row tiles run on it (bitwise the serial result); the
-/// caller must not be one of its workers.
+/// ||xi-xj||^2 = ||xi||^2 + ||xj||^2 - 2<xi,xj>, blocked over row tiles
+/// and clamped at zero (the identity can go ~1 ulp negative for
+/// near-duplicate rows). Symmetric with a zero diagonal; `out` is resized
+/// to n*n. Each <xi,xj> is bitwise dot(xi, xj, d), computed by dot_rows.
+/// With a `pool`, the row tiles run on it (bitwise the serial result).
 void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
                       ThreadPool* pool = nullptr);
-
-/// Reference scalar pairwise build: per-pair (a[c]-b[c])^2 accumulation.
-void pairwise_sq_dist_naive(const Matrix& x, std::vector<double>& out);
 
 struct ColumnMoments {
   std::vector<double> mean;

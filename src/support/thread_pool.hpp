@@ -1,19 +1,20 @@
-// Fixed-size worker pool with a parallel_for helper.
+// Fork-join worker pool: parallel_for is its only way to run work.
 //
-// The batch-TED initialization and the batched measurement path are
-// embarrassingly parallel; a simple queue-based pool is sufficient and avoids
-// a dependency on TBB/OpenMP. Work items must not throw across the pool
-// boundary: exceptions are captured and rethrown from wait points.
+// The batch-TED initialization, the bootstrap fits and the batched
+// measurement path are fork-join loops, so the pool needs nothing else and
+// avoids a dependency on TBB/OpenMP. The caller of parallel_for publishes a
+// job that lives on its own stack and claims indices from it like any
+// worker; the workers only add hands. Once every index is claimed, the
+// caller waits only for the indices still running elsewhere. A call made
+// from inside a worker therefore cannot deadlock: its caller can always run
+// every index alone. No per-call heap allocation.
 #pragma once
 
-#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -21,55 +22,65 @@ namespace aal {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers (default: hardware concurrency, at least 1).
+  /// A pool of `threads` hands, the parallel_for caller included: it starts
+  /// threads - 1 workers, so ThreadPool(1) runs everything inline. 0 means
+  /// the number of CPUs this process may run on (sched_getaffinity).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Hands that can run indices at once: the workers plus the caller.
+  std::size_t size() const { return workers_.size() + 1; }
 
-  /// Number of tasks currently waiting in the queue (diagnostic; the value
-  /// is stale the moment it is read).
-  std::size_t queue_depth() const;
-
-  /// Largest queue depth observed since construction; feeds the
+  /// Largest number of parallel_for calls open on the workers at once
+  /// since construction (calls that run inline are not counted); feeds the
   /// `pool.queue_high_water` gauge of the observability layer.
-  std::size_t queue_high_water() const;
+  std::size_t queue_high_water() const { return high_water_.load(); }
 
-  /// Enqueues a task; the returned future rethrows any exception.
+  /// Runs fn(i) for every i in [0, n) and returns when all are done; the
+  /// calling thread runs indices too. If an index throws, indices not yet
+  /// claimed are skipped and the first exception is rethrown here once
+  /// every started index has finished. Safe to call from inside fn.
   template <typename F>
-  std::future<std::invoke_result_t<F>> submit(F&& fn) {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-      high_water_ = std::max(high_water_, queue_.size());
+  void parallel_for(std::size_t n, const F& fn) {
+    if (n <= 1 || workers_.empty()) {  // inline, where fn can be inlined
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+      return;
     }
-    cv_.notify_one();
-    return fut;
+    run(n, [](const void* f, std::size_t i) { (*static_cast<const F*>(f))(i); },
+        &fn);
   }
-
-  /// Runs fn(i) for i in [0, n) across the pool and blocks until done.
-  /// Work is chunked to amortize queueing overhead. The first captured
-  /// exception (if any) is rethrown in the caller.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool for components that don't own one.
   static ThreadPool& shared();
 
  private:
+  using Call = void (*)(const void* fn, std::size_t i);
+
+  /// One open parallel_for call, on its caller's stack.
+  struct Job {
+    Call call;
+    const void* fn;
+    std::size_t n;
+    std::atomic<std::size_t> next{0};  // next unclaimed index
+    std::size_t helpers = 0;           // workers inside claim(); mutex_
+    std::exception_ptr error{};        // first failure; mutex_
+  };
+
+  void run(std::size_t n, Call call, const void* fn);
+  void claim(Job& job);
+  Job* pick_locked() const;
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::size_t high_water_ = 0;
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  // a job was published, or stop_
+  std::condition_variable idle_cv_;  // a job's last helper left it
+  std::vector<Job*> open_;           // jobs workers may join; mutex_
+  bool stop_ = false;                // mutex_
+  std::atomic<std::size_t> high_water_{0};  // written under mutex_
+  std::vector<std::thread> workers_;  // last: they use everything above
 };
 
 }  // namespace aal

@@ -7,6 +7,7 @@
 #include "hwsim/target.hpp"
 #include "measure/tuning_task.hpp"
 #include "obs/metrics.hpp"
+#include "reference/reference_impls.hpp"
 #include "test_util.hpp"
 
 namespace aal {
@@ -147,14 +148,12 @@ TEST(BootstrapEnsemble, ParallelFitsMatchSerialBitwise) {
               3.0 * a - b + probe_rng.next_gaussian(0.0, 0.2));
   }
   const GbdtSurrogateFactory factory;
-  const BootstrapEnsemble serial(d, factory, 8, rng_serial,
-                                 /*parallel_fit=*/false);
-  const BootstrapEnsemble parallel(d, factory, 8, rng_parallel,
-                                   /*parallel_fit=*/true);
+  const auto serial = reference::bootstrap_fit(d, factory, 8, rng_serial);
+  const BootstrapEnsemble parallel(d, factory, 8, rng_parallel);
   for (int i = 0; i < 64; ++i) {
     const std::vector<double> x{probe_rng.next_double(),
                                 probe_rng.next_double()};
-    const double a = serial.score(x);
+    const double a = reference::bootstrap_score(serial, x);
     const double b = parallel.score(x);
     EXPECT_EQ(a, b) << "prediction diverged at probe " << i;  // exact
   }

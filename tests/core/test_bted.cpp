@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <future>
 #include <set>
 #include <thread>
 
+#include "reference/reference_impls.hpp"
 #include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -49,13 +49,9 @@ TEST_F(BtedTest, DeterministicGivenRng) {
 }
 
 TEST_F(BtedTest, SerialMatchesParallel) {
-  BtedParams serial = quick_params();
-  serial.parallel = false;
-  BtedParams parallel = quick_params();
-  parallel.parallel = true;
   Rng a(3), b(3);
-  const auto x = bted_sample(task_, serial, a);
-  const auto y = bted_sample(task_, parallel, b);
+  const auto x = reference::bted_sample(task_, quick_params(), a);
+  const auto y = bted_sample(task_, quick_params(), b);
   ASSERT_EQ(x.size(), y.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i].flat, y[i].flat);
 }
@@ -146,9 +142,10 @@ TEST_F(BtedTest, PaperDefaultsAreEncoded) {
 }
 
 // Concurrency: serve workers call bted_sample from several threads at
-// once, and `tune_model --jobs` lanes call it from a dedicated pool's
-// workers. Both fan the batch TEDs and the final pass out over the shared
-// pool; each must finish and return the serial result.
+// once, `tune_model --jobs` lanes call it from a lane pool's workers, and
+// a caller may itself be a shared-pool worker. Each call fans its batch
+// TEDs and their row blocks out over the shared pool; each must finish and
+// return the serial-TED result.
 
 BtedParams concurrency_params() {
   BtedParams p;
@@ -166,10 +163,8 @@ std::vector<std::int64_t> flats(const std::vector<Config>& configs) {
 
 std::vector<std::int64_t> serial_flats(const TuningTask& task,
                                        std::uint64_t seed) {
-  BtedParams p = concurrency_params();
-  p.parallel = false;
   Rng rng(seed);
-  return flats(bted_sample(task, p, rng));
+  return flats(reference::bted_sample(task, concurrency_params(), rng));
 }
 
 TEST(BtedConcurrency, TwoThreadsAtOnceMatchSerial) {
@@ -191,18 +186,20 @@ TEST(BtedConcurrency, TwoThreadsAtOnceMatchSerial) {
 }
 
 TEST(BtedConcurrency, InsideADedicatedPoolWorkerMatchesSerial) {
+  // Called from inside parallel_for, once on a pool of its own and once on
+  // the shared pool that bted_sample itself fans out over.
   const TuningTask task(testing::small_conv_workload(),
                         make_target("gpu-pascal"));
   ThreadPool lanes(2);
-  std::vector<std::future<std::vector<std::int64_t>>> futures;
-  for (std::uint64_t seed : {50u, 51u}) {
-    futures.push_back(lanes.submit([&task, seed] {
-      Rng rng(seed);
-      return flats(bted_sample(task, concurrency_params(), rng));
-    }));
+  for (ThreadPool* pool : {&lanes, &ThreadPool::shared()}) {
+    std::vector<std::int64_t> got[2];
+    pool->parallel_for(2, [&task, &got](std::size_t i) {
+      Rng rng(50 + i);
+      got[i] = flats(bted_sample(task, concurrency_params(), rng));
+    });
+    EXPECT_EQ(got[0], serial_flats(task, 50));
+    EXPECT_EQ(got[1], serial_flats(task, 51));
   }
-  EXPECT_EQ(futures[0].get(), serial_flats(task, 50));
-  EXPECT_EQ(futures[1].get(), serial_flats(task, 51));
 }
 
 }  // namespace

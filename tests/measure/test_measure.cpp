@@ -280,34 +280,37 @@ TEST(BackendTest, SerialBackendDispatchesInOrderOnCallingThread) {
 }
 
 TEST(BackendTest, ParallelBackendTracksQueueHighWater) {
-  // Two workers, eight items: parallel_for enqueues eight chunk tasks, the
-  // two workers block inside fn, so at least six tasks must sit in the
-  // queue at once. Polling the high-water mark until it reaches that bound
-  // keeps the test schedule-independent.
+  // The gauge reports the peak number of dispatches open at once. Two
+  // threads each dispatch items that block until released, so both
+  // calls are open together; polling until the mark reaches two keeps the
+  // test schedule-independent.
   ParallelBackend backend(2);
   EXPECT_EQ(backend.queue_high_water(), 0u);
 
   std::atomic<bool> release{false};
   std::atomic<int> calls{0};
-  std::thread driver([&] {
-    backend.dispatch(8, [&](std::size_t) {
+  const auto blocked_dispatch = [&] {
+    backend.dispatch(4, [&](std::size_t) {
       calls.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
     });
-  });
+  };
+  std::thread first(blocked_dispatch);
+  std::thread second(blocked_dispatch);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (backend.queue_high_water() < 6 &&
+  while (backend.queue_high_water() < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   const std::size_t high_water = backend.queue_high_water();
   release.store(true);
-  driver.join();
+  first.join();
+  second.join();
 
-  EXPECT_GE(high_water, 6u);
-  EXPECT_LE(backend.queue_high_water(), 8u);
+  EXPECT_GE(high_water, 2u);
+  EXPECT_EQ(backend.queue_high_water(), 2u);
   EXPECT_EQ(calls.load(), 8);
 }
 

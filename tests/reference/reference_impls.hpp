@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <unordered_set>
@@ -24,6 +25,7 @@
 #include "core/ted.hpp"
 #include "ml/binned.hpp"
 #include "ml/gbdt.hpp"
+#include "ml/surrogate.hpp"
 #include "ml/sa_optimizer.hpp"
 #include "space/config_space.hpp"
 #include "support/dense.hpp"
@@ -130,6 +132,21 @@ inline std::vector<std::size_t> ted_select(std::vector<std::vector<double>> x,
 // TED kernel build (core/ted.cpp and dense::pairwise_sq_dist before the
 // register-blocked pairwise loop and the radix-select median)
 
+/// Scalar pairwise squared distances: per-pair (a[c]-b[c])^2 accumulation
+/// (dense::pairwise_sq_dist's oracle and bench baseline).
+inline void pairwise_sq_dist_naive(const dense::Matrix& x,
+                                   std::vector<double>& out) {
+  const std::size_t n = x.rows;
+  out.assign(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d = dense::sq_dist(x.row(i), x.row(j), x.cols);
+      out[i * n + j] = d;
+      out[j * n + i] = d;
+    }
+  }
+}
+
 /// Pairwise squared distances through the Gram identity, 48-row tiles, one
 /// dense::dot per pair.
 inline void pairwise_sq_dist_blocked(const dense::Matrix& x,
@@ -217,10 +234,10 @@ inline std::vector<double> build_ted_kernel(const dense::Matrix& x,
 }
 
 // ---------------------------------------------------------------------------
-// BTED (core/bted.cpp before the final TED ran on the shared pool)
+// BTED (core/bted.cpp before its TEDs split row blocks on the shared pool)
 
-/// bted_sample with the B batch TEDs on the shared pool (when
-/// params.parallel) and the final TED over the union run serially.
+/// bted_sample with the B batch TEDs on the shared pool, each TED (batch
+/// and final) serial inside.
 inline std::vector<Config> bted_sample(const TuningTask& task,
                                        const BtedParams& params, Rng& rng) {
   const ConfigSpace& space = task.space();
@@ -250,11 +267,7 @@ inline std::vector<Config> bted_sample(const TuningTask& task,
         features, static_cast<std::size_t>(params.num_select), ted);
     selected[b] = pick(batches[b], indices);
   };
-  if (params.parallel && batches.size() > 1) {
-    ThreadPool::shared().parallel_for(batches.size(), run_batch);
-  } else {
-    for (std::size_t b = 0; b < batches.size(); ++b) run_batch(b);
-  }
+  ThreadPool::shared().parallel_for(batches.size(), run_batch);
   std::vector<Config> union_set;
   std::unordered_set<std::int64_t> seen;
   for (const auto& sel : selected) {
@@ -266,6 +279,39 @@ inline std::vector<Config> bted_sample(const TuningTask& task,
   const auto indices = ted_select(
       features, static_cast<std::size_t>(params.num_select), ted);
   return pick(union_set, indices);
+}
+
+// ---------------------------------------------------------------------------
+// Bootstrap ensemble (core/bootstrap.cpp before its fits ran on the shared
+// pool)
+
+/// BootstrapEnsemble's Gamma fits as a serial loop: every resample's rows
+/// and model seed drawn from `rng` first, then each model fitted in order.
+inline std::vector<std::unique_ptr<Surrogate>> bootstrap_fit(
+    const Dataset& data, const SurrogateFactory& factory, int gamma,
+    Rng& rng) {
+  std::vector<std::vector<std::size_t>> rows(static_cast<std::size_t>(gamma));
+  std::vector<std::uint64_t> seeds(rows.size());
+  for (std::size_t g = 0; g < rows.size(); ++g) {
+    rows[g] = rng.sample_with_replacement(data.num_rows(), data.num_rows());
+    seeds[g] = rng();
+  }
+  std::vector<std::unique_ptr<Surrogate>> models;
+  for (std::size_t g = 0; g < rows.size(); ++g) {
+    models.push_back(factory.create(seeds[g]));
+    models.back()->fit(data.subset(rows[g]));
+  }
+  return models;
+}
+
+/// BootstrapEnsemble::score over bootstrap_fit's models: the sum of their
+/// predictions in model order.
+inline double bootstrap_score(
+    const std::vector<std::unique_ptr<Surrogate>>& models,
+    std::span<const double> features) {
+  double acc = 0.0;
+  for (const auto& model : models) acc += model->predict(features);
+  return acc;
 }
 
 // ---------------------------------------------------------------------------

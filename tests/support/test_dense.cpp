@@ -62,53 +62,13 @@ TEST(DenseAxpy, BitwiseEqualsScalarLoop) {
   }
 }
 
-TEST(DenseGram, BlockedMatchesNaive) {
-  Rng rng(3);
-  // Sizes straddling the 48-row tile edge, plus degenerate shapes.
-  for (const std::size_t n : {1u, 2u, 47u, 48u, 49u, 130u}) {
-    const dense::Matrix x = random_matrix(n, 5, rng);
-    std::vector<double> blocked, naive;
-    dense::gram(x, blocked);
-    dense::gram_naive(x, naive);
-    ASSERT_EQ(blocked.size(), n * n);
-    for (std::size_t i = 0; i < blocked.size(); ++i) {
-      EXPECT_NEAR(blocked[i], naive[i], 1e-12) << "n=" << n << " idx=" << i;
-    }
-  }
-}
-
-TEST(DenseGram, SymmetricAndPsd) {
-  Rng rng(4);
-  const std::size_t n = 40;
-  const dense::Matrix x = random_matrix(n, 6, rng);
-  std::vector<double> g;
-  dense::gram(x, g);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(g[i * n + j], g[j * n + i]);
-    }
-    // Diagonal of a Gram matrix is a squared norm.
-    EXPECT_GE(g[i * n + i], 0.0);
-  }
-  // PSD spot check: v^T G v = ||X^T v||^2 >= 0 for random v.
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> v(n);
-    for (auto& e : v) e = rng.next_double(-1.0, 1.0);
-    double quad = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      quad += v[i] * dense::dot(&g[i * n], v.data(), n);
-    }
-    EXPECT_GE(quad, -1e-9);
-  }
-}
-
 TEST(DensePairwiseSqDist, BlockedMatchesNaive) {
   Rng rng(5);
   for (const std::size_t n : {1u, 2u, 48u, 49u, 120u}) {
     const dense::Matrix x = random_matrix(n, 7, rng);
     std::vector<double> fast, naive;
     dense::pairwise_sq_dist(x, fast);
-    dense::pairwise_sq_dist_naive(x, naive);
+    reference::pairwise_sq_dist_naive(x, naive);
     ASSERT_EQ(fast.size(), n * n);
     for (std::size_t i = 0; i < fast.size(); ++i) {
       EXPECT_NEAR(fast[i], naive[i], 1e-12) << "n=" << n << " idx=" << i;

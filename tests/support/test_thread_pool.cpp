@@ -1,26 +1,16 @@
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace aal {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { return 42; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
@@ -66,6 +56,16 @@ TEST(ThreadPool, SharedPoolIsASingleton) {
   EXPECT_GE(ThreadPool::shared().size(), 1u);
 }
 
+TEST(ThreadPool, SharedPoolSizeIsTheAffinityCpuCount) {
+  // The caller counts as a hand, so a process pinned to one CPU
+  // (`taskset -c 0`) gets a pool with no workers that runs inline.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(ThreadPool::shared().size(),
+            static_cast<std::size_t>(CPU_COUNT(&set)));
+}
+
 TEST(ThreadPool, SharedPoolSurvivesRepeatedUse) {
   for (int round = 0; round < 3; ++round) {
     std::atomic<int> acc{0};
@@ -86,8 +86,27 @@ TEST(ThreadPool, PoolUsableAfterException) {
   std::atomic<int> acc{0};
   pool.parallel_for(64, [&](std::size_t) { ++acc; });
   EXPECT_EQ(acc.load(), 64);
-  auto fut = pool.submit([] { return 7; });
-  EXPECT_EQ(fut.get(), 7);
+}
+
+TEST(ThreadPool, CallerIndexExceptionIsRethrownAndPoolStillWorks) {
+  // The worker holds its first index until the caller has thrown from one
+  // of its own, so an index is sure to run (and throw) on the caller.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t) {
+                                   if (std::this_thread::get_id() == caller) {
+                                     thrown = true;
+                                     throw std::runtime_error("caller index");
+                                   }
+                                   while (!thrown) std::this_thread::yield();
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(thrown.load());
+  std::atomic<int> acc{0};
+  pool.parallel_for(64, [&](std::size_t) { ++acc; });
+  EXPECT_EQ(acc.load(), 64);
 }
 
 TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
@@ -97,14 +116,6 @@ TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
-}
-
-TEST(ThreadPool, SubmitVoidTask) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  auto fut = pool.submit([&] { ran = true; });
-  fut.get();
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsEverything) {
@@ -117,17 +128,37 @@ TEST(ThreadPool, SingleThreadPoolRunsEverything) {
   }
 }
 
-TEST(ThreadPool, ManyTasksComplete) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  long long total = 0;
-  for (auto& f : futures) total += f.get();
-  long long expected = 0;
-  for (int i = 0; i < 200; ++i) expected += static_cast<long long>(i) * i;
-  EXPECT_EQ(total, expected);
+TEST(ThreadPool, SingleThreadPoolRunsOnTheCallingThread) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(16, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << i;
+    order.push_back(i);
+  });
+  std::vector<std::size_t> want(16);
+  std::iota(want.begin(), want.end(), std::size_t{0});
+  EXPECT_EQ(order, want);
+}
+
+TEST(ThreadPool, NestedParallelForFromWorkersThreeLevelsDeep) {
+  // Every outer index blocks until the pool's one worker has entered the
+  // outer call, so at least one nested call is made from a worker. A pool
+  // whose workers waited on their own pool would hang here (the ctest
+  // TIMEOUT in tests/pool_timeouts.cmake turns that into a failure).
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_entered{false};
+  std::atomic<int> leaves{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) worker_entered = true;
+    while (!worker_entered) std::this_thread::yield();
+    pool.parallel_for(3, [&](std::size_t) {
+      pool.parallel_for(2, [&](std::size_t) { ++leaves; });
+    });
+  });
+  EXPECT_TRUE(worker_entered.load());
+  EXPECT_EQ(leaves.load(), 4 * 3 * 2);
 }
 
 }  // namespace

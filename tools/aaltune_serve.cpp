@@ -45,8 +45,9 @@ int main(int argc, char** argv) {
                 "aaltune.sock");
   args.add_int_flag("workers", "concurrent tuning jobs", 2);
   args.add_int_flag("measure-threads",
-                    "shared measurement lanes all jobs multiplex over "
-                    "(0 = each job measures serially)", 0);
+                    "shared measurement pool all jobs multiplex over, "
+                    "each job's own thread included (0 = each job "
+                    "measures serially)", 0);
   args.add_int_flag("max-queued", "server-wide queued-job bound", 256);
   args.add_int_flag("tenant-quota", "max queued+running jobs per tenant", 8);
   args.add_int_flag("max-budget", "per-job measurement-budget ceiling",
