@@ -17,6 +17,16 @@ AdvancedActiveLearningTuner::AdvancedActiveLearningTuner(
   (void)validate;
 }
 
+void AdvancedActiveLearningTuner::prepare(const TuningTask& task,
+                                          const TuneOptions& options) {
+  BtedParams bted = bted_;
+  bted.num_select = options.num_initial;
+  Prepared prepared{task.key(), options.seed, options.num_initial, {},
+                    Rng(options.seed)};
+  prepared.initial = bted_sample(task, bted, prepared.rng);
+  prepared_ = std::move(prepared);
+}
+
 void AdvancedActiveLearningTuner::begin(const Measurer& measurer,
                                         const TuneOptions& options) {
   Tuner::begin(measurer, options);
@@ -37,10 +47,9 @@ std::vector<Config> AdvancedActiveLearningTuner::propose(std::int64_t k) {
   // params' num_select, mirroring the paper's m = 64 setting.
   if (!initialized_) {
     initialized_ = true;
-    BtedParams bted = bted_;
-    bted.num_select = tune_options_.num_initial;
     std::vector<Config> initial;
     if (transfer_prior_ != nullptr && transfer_prior_->active()) {
+      BtedParams bted = bted_;
       // Warm start: fleet history replaces breadth. The initial set is the
       // prior's seeds (prior-task bests + HW-ranked feasible picks) capped
       // at warm_num_initial, with BTED topping up any shortfall — so the
@@ -64,8 +73,18 @@ std::vector<Config> AdvancedActiveLearningTuner::propose(std::int64_t k) {
         }
       }
     } else {
-      initial = bted_sample(measurer_->task(), bted, rng_);
+      // Cold start: the sweep prepare() computed, possibly on another
+      // thread before this session began.
+      const TuningTask& task = measurer_->task();
+      if (!prepared_ || prepared_->seed != tune_options_.seed ||
+          prepared_->num_initial != tune_options_.num_initial ||
+          prepared_->task_key != task.key()) {
+        prepare(task, tune_options_);
+      }
+      initial = std::move(prepared_->initial);
+      rng_ = prepared_->rng;
     }
+    prepared_.reset();
     obs_.count("bted.initial_proposed",
                static_cast<std::int64_t>(initial.size()));
     AAL_LOG_DEBUG << "bted+bao: proposing " << initial.size()

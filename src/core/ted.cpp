@@ -42,9 +42,8 @@ constexpr std::size_t kTile = 64;
 /// A tile reads and writes only the upper entries of its own rows and the
 /// mirrored lower entries of their columns, so tiles may run in parallel.
 template <typename F>
-void transform_upper_and_mirror(std::vector<double>& k, std::size_t n,
-                                ThreadPool* pool, const F& f) {
-  double* kd = k.data();
+void transform_upper_and_mirror(double* kd, std::size_t n, ThreadPool* pool,
+                                const F& f) {
   const auto tile = [&](std::size_t t) {
     const std::size_t ib = t * kTile;
     const std::size_t ie = std::min(n, ib + kTile);
@@ -71,7 +70,7 @@ void transform_upper_and_mirror(std::vector<double>& k, std::size_t n,
 
 namespace ted_detail {
 
-double median_distance(const std::vector<double>& sq, std::size_t n) {
+double median_distance(std::span<const double> sq, std::size_t n) {
   if (n < 2) return 1.0;
   const std::size_t count = n * (n - 1) / 2;
   const std::size_t mid = count / 2;
@@ -118,26 +117,31 @@ double median_distance(const std::vector<double>& sq, std::size_t n) {
 
 std::vector<double> build_kernel(const dense::Matrix& x,
                                  const TedParams& params, ThreadPool* pool) {
+  std::vector<double> k(x.rows * x.rows);
+  build_kernel(x, params, pool, k.data());
+  return k;
+}
+
+void build_kernel(const dense::Matrix& x, const TedParams& params,
+                  ThreadPool* pool, double* k) {
   const std::size_t n = x.rows;
-  std::vector<double> k;
   dense::pairwise_sq_dist(x, k, pool);
 
   if (params.kernel == TedKernel::kEuclideanDistance) {
     // Diagonal already exactly 0.
     transform_upper_and_mirror(k, n, pool,
                                [](double sq) { return std::sqrt(sq); });
-    return k;
+    return;
   }
 
   double sigma = params.rbf_sigma;
   if (sigma <= 0.0) {
-    sigma = std::max(1e-9, median_distance(k, n));
+    sigma = std::max(1e-9, median_distance({k, n * n}, n));
   }
   const double inv = 1.0 / (2.0 * sigma * sigma);
   for (std::size_t i = 0; i < n; ++i) k[i * n + i] = 1.0;
   transform_upper_and_mirror(k, n, pool,
                              [inv](double sq) { return std::exp(-sq * inv); });
-  return k;
 }
 
 /// Greedy TED selection with the deflation materialized in K: scores come
@@ -146,7 +150,7 @@ std::vector<double> build_kernel(const dense::Matrix& x,
 /// pick. The path of the non-PSD literal distance matrix: its deflated
 /// entries grow by ~max(d)^2/mu per pick, which recomputed norms survive
 /// and select_lazy's incremental norm update does not.
-std::vector<std::size_t> select_materialized(std::vector<double>& k,
+std::vector<std::size_t> select_materialized(std::span<double> k,
                                              std::size_t n, std::size_t m,
                                              double mu) {
   std::vector<std::size_t> selected;
@@ -190,7 +194,7 @@ std::vector<std::size_t> select_materialized(std::vector<double>& k,
 /// O(n^2) *read-only* per pick — half the memory traffic of the
 /// materialized path (see docs/PERF.md). Needs a PSD kernel: on a non-PSD
 /// one the norm update overflows and cancels into NaN scores.
-std::vector<std::size_t> select_lazy(const std::vector<double>& k,
+std::vector<std::size_t> select_lazy(std::span<const double> k,
                                      std::size_t n, std::size_t m, double mu,
                                      ThreadPool* pool) {
   std::vector<std::size_t> selected;
@@ -283,14 +287,20 @@ std::vector<std::size_t> ted_select(const dense::Matrix& features,
   dense::standardize_columns(x);
 
   if (n < kParallelMinRows) pool = nullptr;
-  std::vector<double> k = ted_detail::build_kernel(x, params, pool);
+  // The kernel gets pages of its own (see dense::PageBuffer): BTED builds
+  // one on every thread it runs on, and a malloc'd one would stay resident
+  // in each thread's arena after it is freed.
+  dense::PageBuffer k(n * n);
+  ted_detail::build_kernel(x, params, pool, k.data());
   // The RBF kernel is PSD, so the read-only lazy deflation stays finite.
   // The literal distance matrix is not: its deflation grows by ~max(d)^2/mu
   // per pick, and the lazy norm update would then turn inf - inf into NaN
   // scores, so it keeps the materialized path.
   return params.kernel == TedKernel::kRbf
-             ? ted_detail::select_lazy(k, n, m, params.mu, pool)
-             : ted_detail::select_materialized(k, n, m, params.mu);
+             ? ted_detail::select_lazy({k.data(), k.size()}, n, m, params.mu,
+                                       pool)
+             : ted_detail::select_materialized({k.data(), k.size()}, n, m,
+                                               params.mu);
 }
 
 std::vector<std::size_t> ted_select(

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "support/dense.hpp"
@@ -70,7 +71,7 @@ namespace ted_detail {
 /// the distances and averaging the middle one or two gives. A radix
 /// histogram of the bit patterns finds the bucket(s) holding the middle
 /// ranks, so only those values are copied and partially sorted.
-double median_distance(const std::vector<double>& sq, std::size_t n);
+double median_distance(std::span<const double> sq, std::size_t n);
 
 /// The n x n kernel K: the literal distance matrix, or an RBF of it with
 /// the median-distance bandwidth when rbf_sigma <= 0. The squared-distance
@@ -80,15 +81,19 @@ std::vector<double> build_kernel(const dense::Matrix& x,
                                  const TedParams& params,
                                  ThreadPool* pool = nullptr);
 
+/// Same, into caller storage of n*n doubles.
+void build_kernel(const dense::Matrix& x, const TedParams& params,
+                  ThreadPool* pool, double* k);
+
 /// Greedy selection deflating K in place (K is overwritten).
-std::vector<std::size_t> select_materialized(std::vector<double>& k,
+std::vector<std::size_t> select_materialized(std::span<double> k,
                                              std::size_t n, std::size_t m,
                                              double mu);
 
 /// Greedy selection with lazy deflation: K is only read. Pick-equal to
 /// select_materialized on PSD kernels (proven by the TedPickEquality
 /// suite), not bitwise: its floating-point work differs.
-std::vector<std::size_t> select_lazy(const std::vector<double>& k,
+std::vector<std::size_t> select_lazy(std::span<const double> k,
                                      std::size_t n, std::size_t m, double mu,
                                      ThreadPool* pool = nullptr);
 

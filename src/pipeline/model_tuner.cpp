@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <optional>
 
 #include "core/advanced_tuner.hpp"
@@ -109,6 +110,18 @@ ModelTuneReport::best_flat_by_task() const {
   return out;
 }
 
+namespace {
+
+/// A task built ahead of its session: its TuningTask and a fresh tuner
+/// (prepared when the serial path pipelines), or the failure staging hit.
+struct StagedTask {
+  std::unique_ptr<TuningTask> task;
+  std::unique_ptr<Tuner> tuner;
+  std::exception_ptr error;
+};
+
+}  // namespace
+
 ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
                            const TunerFactory& factory,
                            const ModelTuneOptions& options) {
@@ -166,12 +179,40 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
   // join (empty when no writable store is attached).
   std::vector<std::vector<TuningRecord>> task_records(tasks.size());
 
-  // Tunes the task at position `i` (0-based model order) and writes its
-  // report slot. Seeds depend only on the position, never on the schedule.
-  const auto tune_one = [&](std::size_t i, TransferContext* transfer_ptr) {
+  // The per-task policy options (no obs: tune_one attaches it). Seeds
+  // depend only on the task's position, never on the schedule.
+  const auto task_tune_options = [&options](std::size_t i) {
+    TuneOptions tune_options = options.tune;
+    tune_options.seed =
+        options.tune.seed * 7907 + static_cast<std::uint64_t>(i) + 1;
+    if (options.cancel != nullptr) tune_options.cancel = options.cancel;
+    if (options.measure_backend != nullptr) {
+      tune_options.backend = options.measure_backend;
+    }
+    return tune_options;
+  };
+
+  // Builds the task at position `i` into `staged` and, with `prepare`, runs
+  // its tuner's measurement-independent setup (Tuner::prepare). A failure is
+  // kept, not thrown: it surfaces when the task's turn comes.
+  const auto stage = [&](std::size_t i, StagedTask& staged, bool prepare) {
+    try {
+      staged.task = std::make_unique<TuningTask>(
+          tasks[i].workload, target, options.schedule_template);
+      if (prepare) staged.tuner->prepare(*staged.task, task_tune_options(i));
+    } catch (...) {
+      staged.error = std::current_exception();
+    }
+  };
+
+  // Tunes the staged task at position `i` (0-based model order) and writes
+  // its report slot.
+  const auto tune_one = [&](std::size_t i, StagedTask& staged,
+                            TransferContext* transfer_ptr) {
+    if (staged.error) std::rethrow_exception(staged.error);
     const Task& task = tasks[i];
     const std::uint64_t task_index = static_cast<std::uint64_t>(i) + 1;
-    TuningTask tuning_task(task.workload, target, options.schedule_template);
+    const TuningTask& tuning_task = *staged.task;
     SimulatedDevice device(target, options.device_seed * 1000003 + task_index);
     // The fault plan gets a per-task seed the same way the device does, so
     // fault draws are pure in (plan seed, task position, flat, attempt) and
@@ -249,16 +290,11 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
                                    options.tune.seed * 6151 + task_index, obs);
     }
 
-    auto tuner = factory(transfer_ptr);
-    if (prior.active()) tuner->set_transfer_prior(&prior);
-    TuneOptions tune_options = options.tune;
-    tune_options.seed = options.tune.seed * 7907 + task_index;
+    Tuner& tuner = *staged.tuner;
+    if (prior.active()) tuner.set_transfer_prior(&prior);
+    TuneOptions tune_options = task_tune_options(i);
     tune_options.obs = obs;
-    if (options.cancel != nullptr) tune_options.cancel = options.cancel;
-    if (options.measure_backend != nullptr) {
-      tune_options.backend = options.measure_backend;
-    }
-    TuneResult result = tuner->tune(measurer, tune_options);
+    TuneResult result = tuner.tune(measurer, tune_options);
 
     // Constraint-pruning tally for this task's space. GPU targets attach no
     // constraints, so default runs emit nothing and traces stay identical to
@@ -319,9 +355,43 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       for (const std::size_t i : lanes[l]) lane_of_task[i] = l;
     }
+    const auto context_of = [&](std::size_t i) {
+      return options.use_transfer ? &contexts[lane_of_task[i]] : nullptr;
+    };
+    // Pipelining: while task i tunes, a second hand of the shared pool
+    // stages task i+1 — builds its TuningTask and runs its tuner's
+    // prepare() (the bted+bao tuner's cold-start BTED sweep). prepare() is
+    // pure and emits nothing, so results, traces and metrics are those of
+    // the unstaged run. It is off when the answer depends on the run (a
+    // transfer prior changes the initial set) and when a budget within
+    // num_initial leaves no BAO rounds to hide the staging behind. On one
+    // CPU the pool runs both hands inline, the session first.
+    const bool pipelined = tasks.size() > 1 &&
+                           !(options.transfer.enabled && options.store) &&
+                           options.tune.budget > options.tune.num_initial;
+    StagedTask current;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       if (cancelled()) break;
-      tune_one(i, options.use_transfer ? &contexts[lane_of_task[i]] : nullptr);
+      if (!current.tuner) {  // first task, or not pipelined
+        // The first task prepares inline too, so its BTED sweep never runs
+        // beside the second task's staged one.
+        current.tuner = factory(context_of(i));
+        stage(i, current, pipelined);
+      }
+      StagedTask next;
+      if (!pipelined || i + 1 == tasks.size()) {
+        tune_one(i, current, context_of(i));
+      } else {
+        next.tuner = factory(context_of(i + 1));
+        ThreadPool::shared().parallel_for(2, [&](std::size_t hand) {
+          if (hand == 0) {
+            tune_one(i, current, context_of(i));
+          } else {
+            stage(i + 1, next, true);
+          }
+        });
+      }
+      current = std::move(next);
     }
   } else {
     const auto run_lane = [&](const std::vector<std::size_t>& lane) {
@@ -330,7 +400,10 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
           options.use_transfer ? &transfer : nullptr;
       for (const std::size_t i : lane) {
         if (cancelled()) return;
-        tune_one(i, transfer_ptr);
+        StagedTask staged;
+        staged.tuner = factory(transfer_ptr);
+        stage(i, staged, false);
+        tune_one(i, staged, transfer_ptr);
       }
     };
     // min(jobs, lanes) runners, each claiming lanes in order, on a pool of

@@ -138,13 +138,31 @@ ServeSocketServer::~ServeSocketServer() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::thread> threads;
+  // A client may keep its connection open after its last request, its
+  // thread blocked in recv. Shutting the read side down gives every such
+  // thread end-of-file, so the joins below cannot wait on a client. A
+  // thread still sending (say, the tail of a stream) finishes its frames:
+  // only reads are cut.
+  std::vector<std::unique_ptr<Connection>> connections;
   {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(threads_);
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (const auto& c : connections_) ::shutdown(c->control_fd, SHUT_RD);
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads) t.join();
+  for (const auto& c : connections) {
+    c->thread.join();
+    ::close(c->control_fd);
+  }
   ::unlink(path_.c_str());
+}
+
+void ServeSocketServer::reap_finished_locked() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->done.load()) return false;
+    c->thread.join();
+    ::close(c->control_fd);
+    return true;
+  });
 }
 
 void ServeSocketServer::stop() { stop_.store(true); }
@@ -163,8 +181,16 @@ void ServeSocketServer::serve_forever() {
       if (errno == EINTR) continue;
       break;
     }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads_.emplace_back([this, fd] { handle_connection(fd); });
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    reap_finished_locked();
+    auto connection = std::make_unique<Connection>();
+    connection->control_fd = ::dup(fd);
+    Connection* c = connection.get();
+    connection->thread = std::thread([this, fd, c] {
+      handle_connection(fd);
+      c->done.store(true);
+    });
+    connections_.push_back(std::move(connection));
   }
   // Graceful path: drain queued + running jobs before returning, so a
   // `shutdown` op means "finish what was admitted, then exit".

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -107,14 +108,25 @@ class ServeSocketServer {
   void stop();
 
  private:
+  /// One accepted connection and the thread that services it.
+  struct Connection {
+    /// A dup of the connection's fd, so the destructor can shut the socket
+    /// down while the thread still owns (and may close) the original.
+    int control_fd = -1;
+    std::atomic<bool> done{false};  // set by the thread as it ends
+    std::thread thread;
+  };
+
   void handle_connection(int fd);
+  /// Joins the threads of connections that have ended. connections_mutex_.
+  void reap_finished_locked();
 
   TuneServer& server_;
   std::string path_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
-  std::mutex threads_mutex_;
-  std::vector<std::thread> threads_;
+  std::mutex connections_mutex_;
+  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 /// Blocking protocol client over one connection.

@@ -1,8 +1,13 @@
 #include "support/dense.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <new>
 
 #include "support/thread_pool.hpp"
 
@@ -104,13 +109,17 @@ double sq_dist(const double* a, const double* b, std::size_t n) {
 
 void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
                       ThreadPool* pool) {
+  out.resize(x.rows * x.rows);
+  pairwise_sq_dist(x, out.data(), pool);
+}
+
+void pairwise_sq_dist(const Matrix& x, double* out, ThreadPool* pool) {
   const std::size_t n = x.rows;
   const std::size_t d = x.cols;
-  out.resize(n * n);
   std::vector<double> norms(n);
   const double* __restrict xd = x.data.data();
   for (std::size_t i = 0; i < n; ++i) norms[i] = dot(xd + i * d, xd + i * d, d);
-  double* __restrict o = out.data();
+  double* __restrict o = out;
   const double* __restrict nrm = norms.data();
   // One row tile against every tile at or right of it. A tile owns the
   // pairs (i, j > i) of its rows, including their mirrored stores, so tiles
@@ -140,6 +149,46 @@ void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
   } else {
     for (std::size_t t = 0; t < tiles; ++t) tile(t);
   }
+}
+
+namespace {
+
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+std::size_t round_up(std::size_t bytes, std::size_t unit) {
+  return (bytes + unit - 1) / unit * unit;
+}
+
+}  // namespace
+
+PageBuffer::PageBuffer(std::size_t size) : size_(size) {
+  if (size == 0) return;
+  const std::size_t bytes = size * sizeof(double);
+  const bool huge = bytes >= (std::size_t{1} << 20);
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  mapped_bytes_ = round_up(bytes, huge ? kHugePage : page);
+  // A huge page needs a 2 MiB-aligned range: over-map, then trim both ends.
+  const std::size_t reserve = mapped_bytes_ + (huge ? kHugePage : 0);
+  void* raw = mmap(nullptr, reserve, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  auto* base = static_cast<char*>(raw);
+  char* start = base;
+  if (huge) {
+    start = reinterpret_cast<char*>(
+        round_up(reinterpret_cast<std::uintptr_t>(base), kHugePage));
+    if (start > base) munmap(base, static_cast<std::size_t>(start - base));
+    char* end = start + mapped_bytes_;
+    if (base + reserve > end) {
+      munmap(end, static_cast<std::size_t>(base + reserve - end));
+    }
+    madvise(start, mapped_bytes_, MADV_HUGEPAGE);  // a hint; may be refused
+  }
+  data_ = reinterpret_cast<double*>(start);
+}
+
+PageBuffer::~PageBuffer() {
+  if (data_ != nullptr) munmap(data_, mapped_bytes_);
 }
 
 ColumnMoments standardize_columns(Matrix& x, double min_stddev) {

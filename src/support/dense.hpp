@@ -78,6 +78,33 @@ double sq_dist(const double* a, const double* b, std::size_t n);
 void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
                       ThreadPool* pool = nullptr);
 
+/// Same, into caller storage of n*n doubles.
+void pairwise_sq_dist(const Matrix& x, double* out, ThreadPool* pool = nullptr);
+
+/// `size` doubles in anonymous pages of their own, unmapped (returned to
+/// the OS) when the buffer dies. For big transient buffers such as TED's
+/// n x n kernels: malloc keeps a freed block of that size in the arena of
+/// the thread that allocated it, so a kernel built once on each of several
+/// threads would stay resident once per thread. Buffers of 1 MiB and up are
+/// aligned and advised for transparent huge pages, which keeps the page
+/// faults of a fresh mapping few. Contents start zeroed.
+class PageBuffer {
+ public:
+  explicit PageBuffer(std::size_t size);
+  ~PageBuffer();
+  PageBuffer(const PageBuffer&) = delete;
+  PageBuffer& operator=(const PageBuffer&) = delete;
+
+  double* data() { return data_; }
+  const double* data() const { return data_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  double* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t mapped_bytes_ = 0;
+};
+
 struct ColumnMoments {
   std::vector<double> mean;
   std::vector<double> stddev;  // population, before the min_stddev floor

@@ -18,6 +18,11 @@ std::vector<double> TuneResult::best_curve() const {
   return curve;
 }
 
+void Tuner::prepare(const TuningTask& task, const TuneOptions& options) {
+  (void)task;
+  (void)options;
+}
+
 void Tuner::begin(const Measurer& measurer, const TuneOptions& options) {
   (void)measurer;
   obs_ = options.effective_obs();

@@ -91,6 +91,15 @@ class Tuner {
   virtual ~Tuner() = default;
   virtual std::string name() const = 0;
 
+  /// Measurement-independent setup for `task`, run before the session
+  /// starts. Must be pure in (task, options, this tuner's params): it emits
+  /// no obs (`options.obs` is ignored), reads no measurer and no shared
+  /// state, so it may run on another thread while a different tuner's
+  /// session runs. A policy that overrides it must give the same results
+  /// whether or not it was called. tune_model's serial path stages task
+  /// i+1 this way while task i tunes. The default does nothing.
+  virtual void prepare(const TuningTask& task, const TuneOptions& options);
+
   /// Called once by the session before the first propose(). The measurer
   /// reference stays valid for the whole session; policies may hold it to
   /// query measured state (all_results, is_cached, best) while proposing.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "test_util.hpp"
 #include "tuner/random_tuner.hpp"
 
@@ -101,6 +104,28 @@ TEST_F(AdvancedTunerTest, BeatsRandomSearchOnAverage) {
     }
   }
   EXPECT_GT(advanced_total, random_total);
+}
+
+TEST_F(AdvancedTunerTest, PrepareIsOptionalAndMatchedToItsSession) {
+  // prepare() only moves the cold-start BTED sweep ahead of the session:
+  // a run prepared for its own task and options equals an unprepared run,
+  // and one prepared for other options recomputes instead of reusing.
+  const auto run = [&](const std::optional<std::uint64_t>& prepared_seed) {
+    TuningTask task(workload_, spec_);
+    SimulatedDevice device(spec_, 7);
+    Measurer measurer(task, device);
+    AdvancedActiveLearningTuner tuner(quick_bted());
+    if (prepared_seed) tuner.prepare(task, quick_options(*prepared_seed));
+    return tuner.tune(measurer, quick_options(5));
+  };
+  const auto flats = [](const TuneResult& r) {
+    std::vector<std::int64_t> out;
+    for (const TunePoint& p : r.history) out.push_back(p.flat);
+    return out;
+  };
+  const std::vector<std::int64_t> cold = flats(run(std::nullopt));
+  EXPECT_EQ(flats(run(5)), cold);
+  EXPECT_EQ(flats(run(6)), cold);
 }
 
 TEST_F(AdvancedTunerTest, ParamsAccessible) {

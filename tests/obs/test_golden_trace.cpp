@@ -246,5 +246,29 @@ TEST_F(ObsGoldenTrace, ModelTraceIsInvariantAcrossJobs) {
   }
 }
 
+TEST_F(ObsGoldenTrace, BtedBaoModelTraceIsInvariantAcrossJobs) {
+  // The bted+bao tuner with BAO rounds to run: the serial path stages each
+  // next task's BTED sweep while the current task tunes, the parallel path
+  // does not, and both must give the same bytes.
+  const auto run = [](int jobs) {
+    MemoryTraceSink sink;
+    ModelTuneOptions options;
+    options.tune.budget = 14;
+    options.tune.early_stopping = 0;
+    options.tune.num_initial = 8;
+    options.tune.seed = 3;
+    options.device_seed = 99;
+    options.use_transfer = false;  // every task its own lane
+    options.jobs = jobs;
+    options.trace = &sink;
+    tune_model(testing::tiny_cnn(), make_target("gpu-pascal"),
+               bted_bao_tuner_factory(), options);
+    return sink.to_jsonl();
+  };
+  const std::string serial = run(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial, run(4));
+}
+
 }  // namespace
 }  // namespace aal

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <mutex>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
+#include "core/advanced_tuner.hpp"
+#include "obs/trace.hpp"
+
 #include "support/logging.hpp"
 #include "test_util.hpp"
 #include "tuner/random_tuner.hpp"
@@ -121,6 +132,162 @@ TEST_F(ModelTunerTest, DeterministicGivenSeeds) {
     EXPECT_DOUBLE_EQ(a.tasks[i].result.best_gflops(),
                      b.tasks[i].result.best_gflops());
   }
+}
+
+/// A bted+bao tuner behind test hooks: prepare() may be withheld from it
+/// (the unstaged path), and callbacks see every prepare() and observe()
+/// with the task's derived seed.
+class ProbeTuner final : public Tuner {
+ public:
+  struct Hooks {
+    bool forward_prepare = true;
+    std::function<void(std::uint64_t seed)> on_prepare;
+    std::function<void(std::uint64_t seed)> on_observe;
+  };
+
+  explicit ProbeTuner(Hooks hooks) : hooks_(std::move(hooks)) {}
+
+  std::string name() const override { return inner_.name(); }
+  void prepare(const TuningTask& task, const TuneOptions& options) override {
+    if (hooks_.on_prepare) hooks_.on_prepare(options.seed);
+    if (hooks_.forward_prepare) inner_.prepare(task, options);
+  }
+  void begin(const Measurer& measurer, const TuneOptions& options) override {
+    seed_ = options.seed;
+    inner_.begin(measurer, options);
+  }
+  std::vector<Config> propose(std::int64_t k) override {
+    return inner_.propose(k);
+  }
+  void observe(std::span<const MeasureResult> results) override {
+    inner_.observe(results);
+    if (hooks_.on_observe) hooks_.on_observe(seed_);
+  }
+  void finalize(const Measurer& measurer) override {
+    inner_.finalize(measurer);
+  }
+
+ private:
+  Hooks hooks_;
+  AdvancedActiveLearningTuner inner_;
+  std::uint64_t seed_ = 0;
+};
+
+TunerFactory probe_factory(const ProbeTuner::Hooks& hooks) {
+  return [hooks](TransferContext*) -> std::unique_ptr<Tuner> {
+    return std::make_unique<ProbeTuner>(hooks);
+  };
+}
+
+/// The serial path stages task i+1 while task i tunes; these tests pin
+/// what that must not change.
+class ModelPipeline : public ModelTunerTest {
+ protected:
+  ModelTuneOptions pipeline_options(MemoryTraceSink& sink) {
+    ModelTuneOptions o;
+    o.tune.budget = 14;  // > num_initial: BAO rounds to stage behind
+    o.tune.early_stopping = 0;
+    o.tune.num_initial = 8;
+    o.tune.seed = 5;
+    o.device_seed = 11;
+    o.trace = &sink;
+    return o;
+  }
+  /// The tuner seed tune_model derives for the task at model position i.
+  static std::uint64_t task_seed(const ModelTuneOptions& o, std::size_t i) {
+    return o.tune.seed * 7907 + i + 1;
+  }
+};
+
+TEST_F(ModelPipeline, StagedRunEqualsUnstagedRun) {
+  const Graph g = testing::tiny_cnn();
+  MemoryTraceSink staged_sink, unstaged_sink;
+  const ModelTuneReport staged = tune_model(g, spec_, bted_bao_tuner_factory(),
+                                            pipeline_options(staged_sink));
+  std::atomic<int> prepares{0};
+  ProbeTuner::Hooks hooks;
+  hooks.forward_prepare = false;
+  hooks.on_prepare = [&](std::uint64_t) { ++prepares; };
+  const ModelTuneReport unstaged = tune_model(
+      g, spec_, probe_factory(hooks), pipeline_options(unstaged_sink));
+
+  EXPECT_EQ(prepares.load(), 3);  // every task was staged
+  ASSERT_FALSE(staged_sink.to_jsonl().empty());
+  EXPECT_EQ(staged_sink.to_jsonl(), unstaged_sink.to_jsonl());
+  ASSERT_EQ(staged.tasks.size(), unstaged.tasks.size());
+  for (std::size_t i = 0; i < staged.tasks.size(); ++i) {
+    const TuneResult& a = staged.tasks[i].result;
+    const TuneResult& b = unstaged.tasks[i].result;
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t j = 0; j < a.history.size(); ++j) {
+      EXPECT_EQ(a.history[j].flat, b.history[j].flat);
+      EXPECT_EQ(a.history[j].gflops, b.history[j].gflops);
+    }
+  }
+}
+
+TEST_F(ModelPipeline, CancelDuringATaskLeavesTheStagedNextTaskUnrun) {
+  const Graph g = testing::tiny_cnn();
+  MemoryTraceSink sink;
+  ModelTuneOptions options = pipeline_options(sink);
+  std::atomic<bool> cancel{false};
+  options.cancel = &cancel;
+  std::mutex mutex;
+  std::vector<std::uint64_t> prepared;
+  ProbeTuner::Hooks hooks;
+  hooks.on_prepare = [&](std::uint64_t seed) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      prepared.push_back(seed);
+    }
+    // A failed staging surfaces only when its task's turn comes, which a
+    // cancelled run never reaches.
+    if (seed == task_seed(options, 2)) throw std::runtime_error("unreached");
+  };
+  hooks.on_observe = [&](std::uint64_t seed) {
+    if (seed == task_seed(options, 1)) cancel.store(true);
+  };
+  const ModelTuneReport report =
+      tune_model(g, spec_, probe_factory(hooks), options);
+
+  ASSERT_EQ(report.tasks.size(), 3u);
+  EXPECT_EQ(report.tasks[0].result.num_measured, options.tune.budget);
+  EXPECT_GT(report.tasks[1].result.num_measured, 0);
+  EXPECT_LT(report.tasks[1].result.num_measured, options.tune.budget);
+  // Task 2 was staged while task 1 ran, then never started.
+  EXPECT_NE(std::find(prepared.begin(), prepared.end(), task_seed(options, 2)),
+            prepared.end());
+  EXPECT_TRUE(report.tasks[2].result.tuner_name.empty());
+  EXPECT_TRUE(report.tasks[2].result.history.empty());
+  EXPECT_FALSE(report.tasks[2].result.best.has_value());
+  EXPECT_EQ(sink.to_jsonl().find(report.tasks[2].task_key), std::string::npos);
+}
+
+TEST_F(ModelPipeline, StagingFailureSurfacesAtItsTasksTurn) {
+  const Graph g = testing::tiny_cnn();
+  MemoryTraceSink sink;
+  ModelTuneOptions options = pipeline_options(sink);
+  ProbeTuner::Hooks hooks;
+  hooks.on_prepare = [&](std::uint64_t seed) {
+    if (seed == task_seed(options, 1)) throw std::runtime_error("bad stage");
+  };
+  try {
+    (void)tune_model(g, spec_, probe_factory(hooks), options);
+    FAIL() << "the staging failure was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "bad stage");
+  }
+  // Task 0 ran to the end before task 1's failure surfaced, and task 1
+  // emitted nothing.
+  const std::string trace = sink.to_jsonl();
+  std::size_t ends = 0;
+  for (std::size_t at = trace.find("session_end"); at != std::string::npos;
+       at = trace.find("session_end", at + 1)) {
+    ++ends;
+  }
+  EXPECT_EQ(ends, 1u);
+  EXPECT_EQ(trace.find("session_begin", trace.find("session_end")),
+            std::string::npos);
 }
 
 }  // namespace

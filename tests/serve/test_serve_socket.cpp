@@ -6,10 +6,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -55,7 +57,7 @@ class ServeSocketTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    socket_server_->stop();
+    if (socket_server_) socket_server_->stop();
     serve_thread_.join();
     socket_server_.reset();
     server_.reset();
@@ -339,6 +341,86 @@ TEST_F(ServeSocketTest, ShutdownRequestDrainsTheDaemon) {
   } catch (const ServeError& e) {
     EXPECT_EQ(e.code(), ServeErrorCode::kShuttingDown);
   }
+}
+
+/// The number of threads this process runs now.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// This process's mapped address space in KiB (VmSize): a connection
+/// thread that has exited but was never joined keeps its stack mapped.
+std::size_t mapped_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return 0;
+}
+
+TEST_F(ServeSocketTest, DestroyingTheServerWithAClientStillConnectedReturns) {
+  ServeClient client = connect();
+  ServeRequest hello;
+  hello.id = 1;
+  hello.op = ServeOp::kHello;
+  hello.version = kServeProtocolVersion;
+  ASSERT_TRUE(client.call(hello).ok);  // its thread now waits in recv
+
+  socket_server_->stop();
+  serve_thread_.join();
+  serve_thread_ = std::thread([] {});  // keep TearDown's join() valid
+  std::promise<void> destroyed;
+  std::future<void> done = destroyed.get_future();
+  std::thread destroyer([&] {
+    socket_server_.reset();
+    destroyed.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "~ServeSocketServer waited on an idle client";
+  if (!returned) {
+    // Closing the client is what used to release the join.
+    ServeClient gone = std::move(client);
+  }
+  destroyer.join();
+}
+
+TEST_F(ServeSocketTest, FinishedConnectionThreadsAreReaped) {
+  const std::size_t threads_before = live_threads();
+  const std::size_t kib_before = mapped_kib();
+  for (int i = 0; i < 50; ++i) {
+    {
+      ServeClient client = connect();
+      ServeRequest hello;
+      hello.id = i;
+      hello.op = ServeOp::kHello;
+      hello.version = kServeProtocolVersion;
+      ASSERT_TRUE(client.call(hello).ok);
+      EXPECT_EQ(live_threads(), threads_before + 1);
+    }
+    // The client hung up: its connection thread ends on its own.
+    const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+    while (live_threads() > threads_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    ASSERT_EQ(live_threads(), threads_before) << "connection " << i;
+  }
+  // An ended thread that is never joined keeps its stack mapped; each
+  // accept joins the ended ones, so fifty connections leave at most one.
+  EXPECT_LT(mapped_kib(), kib_before + 20 * 8192)
+      << "exited connection threads kept their stacks";
 }
 
 }  // namespace
