@@ -171,12 +171,12 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
   {  // Pairwise squared distance: Gram-identity build vs per-pair loops.
     const std::size_t n = smoke ? 64 : 1024, d = 16;
     const dense::Matrix x = random_matrix(n, d, 12);
-    std::vector<double> sq;
+    std::vector<double> sq(n * n);
     BenchEntry e{"pairwise_sq_dist",
                  {{"n", static_cast<long long>(n)},
                   {"d", static_cast<long long>(d)}}};
     e.median_ms = time_median_ms(repeats, smoke ? 8 : 2, [&] {
-      dense::pairwise_sq_dist(x, sq);
+      dense::pairwise_sq_dist(x, sq.data());
       sink(sq[1]);
     });
     e.baseline_median_ms = time_median_ms(repeats, smoke ? 8 : 2, [&] {
@@ -225,7 +225,12 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
     for (const Shape& s : shapes) {
       dense::Matrix x = random_matrix(s.n, s.d, 15);
       dense::standardize_columns(x);
-      const std::vector<double> k = ted_detail::build_kernel(x, params);
+      const auto build_kernel = [&] {
+        std::vector<double> k(s.n * s.n);
+        ted_detail::build_kernel(x, params, k.data());
+        return k;
+      };
+      const std::vector<double> k = build_kernel();
       AAL_CHECK(k == reference::build_ted_kernel(x, params),
                 "TED kernel build diverged from the reference build");
       {
@@ -241,7 +246,7 @@ std::vector<BenchEntry> run_kernels_suite(int repeats, bool smoke) {
           {"m", static_cast<long long>(s.m)}};
       BenchEntry build{"ted_kernel_build", shape_params};
       build.median_ms = time_median_ms(repeats, s.iters, [&] {
-        sink(ted_detail::build_kernel(x, params)[1]);
+        sink(build_kernel()[1]);
       });
       build.baseline_median_ms = time_median_ms(repeats, s.iters, [&] {
         sink(reference::build_ted_kernel(x, params)[1]);

@@ -1,12 +1,28 @@
 #include "core/advanced_tuner.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "support/logging.hpp"
 #include "transfer/transfer_prior.hpp"
 
 namespace aal {
+
+namespace {
+
+/// The cold-start initial set prepare() computes, with what it was computed
+/// for and the RNG state BTED left behind.
+struct ColdStart final : PreparedState {
+  std::string task_key;
+  std::uint64_t seed = 0;
+  BtedParams bted;  // num_select = the options' num_initial
+  std::vector<Config> initial;
+  Rng rng;
+};
+
+}  // namespace
 
 AdvancedActiveLearningTuner::AdvancedActiveLearningTuner(
     BtedParams bted, BaoParams bao,
@@ -17,14 +33,16 @@ AdvancedActiveLearningTuner::AdvancedActiveLearningTuner(
   (void)validate;
 }
 
-void AdvancedActiveLearningTuner::prepare(const TuningTask& task,
-                                          const TuneOptions& options) {
-  BtedParams bted = bted_;
-  bted.num_select = options.num_initial;
-  Prepared prepared{task.key(), options.seed, options.num_initial, {},
-                    Rng(options.seed)};
-  prepared.initial = bted_sample(task, bted, prepared.rng);
-  prepared_ = std::move(prepared);
+std::shared_ptr<const PreparedState> AdvancedActiveLearningTuner::prepare(
+    const TuningTask& task, const TuneOptions& options) const {
+  auto cold = std::make_shared<ColdStart>();
+  cold->task_key = task.key();
+  cold->seed = options.seed;
+  cold->bted = bted_;
+  cold->bted.num_select = options.num_initial;
+  cold->rng.reseed(options.seed);
+  cold->initial = bted_sample(task, cold->bted, cold->rng);
+  return cold;
 }
 
 void AdvancedActiveLearningTuner::begin(const Measurer& measurer,
@@ -74,17 +92,20 @@ std::vector<Config> AdvancedActiveLearningTuner::propose(std::int64_t k) {
       }
     } else {
       // Cold start: the sweep prepare() computed, possibly on another
-      // thread before this session began.
+      // thread before this session began, if it was computed for this one.
       const TuningTask& task = measurer_->task();
-      if (!prepared_ || prepared_->seed != tune_options_.seed ||
-          prepared_->num_initial != tune_options_.num_initial ||
-          prepared_->task_key != task.key()) {
-        prepare(task, tune_options_);
+      BtedParams bted = bted_;
+      bted.num_select = tune_options_.num_initial;
+      std::shared_ptr<const PreparedState> prepared = tune_options_.prepared;
+      const auto* cold = dynamic_cast<const ColdStart*>(prepared.get());
+      if (cold == nullptr || cold->seed != tune_options_.seed ||
+          cold->bted != bted || cold->task_key != task.key()) {
+        prepared = prepare(task, tune_options_);
+        cold = static_cast<const ColdStart*>(prepared.get());
       }
-      initial = std::move(prepared_->initial);
-      rng_ = prepared_->rng;
+      initial = cold->initial;
+      rng_ = cold->rng;
     }
-    prepared_.reset();
     obs_.count("bted.initial_proposed",
                static_cast<std::int64_t>(initial.size()));
     AAL_LOG_DEBUG << "bted+bao: proposing " << initial.size()

@@ -9,9 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "core/bao.hpp"
 #include "core/bted.hpp"
@@ -44,11 +41,12 @@ class AdvancedActiveLearningTuner final : public Tuner {
   std::string name() const override { return "bted+bao"; }
 
   /// Runs the cold-start BTED sweep (m = options.num_initial, seeded from
-  /// options.seed) and keeps its picks and the RNG state it leaves.
-  /// propose() consumes them when they match the session's task and
-  /// options, and otherwise calls prepare() itself. A warm start (an active
-  /// transfer prior) ignores them.
-  void prepare(const TuningTask& task, const TuneOptions& options) override;
+  /// options.seed) and returns its picks with the RNG state it leaves.
+  /// propose() takes them from TuneOptions::prepared when they were
+  /// computed for its task, options and BTED params, and otherwise calls
+  /// prepare() itself. A warm start (an active transfer prior) ignores them.
+  std::shared_ptr<const PreparedState> prepare(
+      const TuningTask& task, const TuneOptions& options) const override;
   void begin(const Measurer& measurer, const TuneOptions& options) override;
   std::vector<Config> propose(std::int64_t k) override;
   void observe(std::span<const MeasureResult> results) override;
@@ -66,16 +64,6 @@ class AdvancedActiveLearningTuner final : public Tuner {
   Rng rng_;
   std::unique_ptr<BaoSearch> bao_search_;
 
-  /// The cold-start initial set computed by prepare(), with what it was
-  /// computed for and the RNG state BTED left behind.
-  struct Prepared {
-    std::string task_key;
-    std::uint64_t seed = 0;
-    int num_initial = 0;
-    std::vector<Config> initial;
-    Rng rng;
-  };
-  std::optional<Prepared> prepared_;
   bool initialized_ = false;
   bool bao_active_ = false;
 };

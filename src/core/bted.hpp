@@ -27,6 +27,8 @@ struct BtedParams {
   int num_select = 64;                   // m
   int num_batches = 10;                  // B
   TedKernel kernel = TedKernel::kRbf;  // see TedParams::kernel
+
+  bool operator==(const BtedParams&) const = default;
 };
 
 /// Runs BTED over a task's configuration space and returns the initial set

@@ -115,15 +115,8 @@ double median_distance(std::span<const double> sq, std::size_t n) {
   return 0.5 * (lo + hi);
 }
 
-std::vector<double> build_kernel(const dense::Matrix& x,
-                                 const TedParams& params, ThreadPool* pool) {
-  std::vector<double> k(x.rows * x.rows);
-  build_kernel(x, params, pool, k.data());
-  return k;
-}
-
-void build_kernel(const dense::Matrix& x, const TedParams& params,
-                  ThreadPool* pool, double* k) {
+void build_kernel(const dense::Matrix& x, const TedParams& params, double* k,
+                  ThreadPool* pool) {
   const std::size_t n = x.rows;
   dense::pairwise_sq_dist(x, k, pool);
 
@@ -291,7 +284,7 @@ std::vector<std::size_t> ted_select(const dense::Matrix& features,
   // one on every thread it runs on, and a malloc'd one would stay resident
   // in each thread's arena after it is freed.
   dense::PageBuffer k(n * n);
-  ted_detail::build_kernel(x, params, pool, k.data());
+  ted_detail::build_kernel(x, params, k.data(), pool);
   // The RBF kernel is PSD, so the read-only lazy deflation stays finite.
   // The literal distance matrix is not: its deflation grows by ~max(d)^2/mu
   // per pick, and the lazy norm update would then turn inf - inf into NaN

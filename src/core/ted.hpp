@@ -74,16 +74,11 @@ namespace ted_detail {
 double median_distance(std::span<const double> sq, std::size_t n);
 
 /// The n x n kernel K: the literal distance matrix, or an RBF of it with
-/// the median-distance bandwidth when rbf_sigma <= 0. The squared-distance
-/// buffer is transformed in place, so only one n x n buffer is allocated.
-/// `pool` as for ted_select.
-std::vector<double> build_kernel(const dense::Matrix& x,
-                                 const TedParams& params,
-                                 ThreadPool* pool = nullptr);
-
-/// Same, into caller storage of n*n doubles.
-void build_kernel(const dense::Matrix& x, const TedParams& params,
-                  ThreadPool* pool, double* k);
+/// the median-distance bandwidth when rbf_sigma <= 0, written to `k`,
+/// caller storage of n*n doubles. The squared distances are transformed in
+/// place, so no other n x n buffer is needed. `pool` as for ted_select.
+void build_kernel(const dense::Matrix& x, const TedParams& params, double* k,
+                  ThreadPool* pool = nullptr);
 
 /// Greedy selection deflating K in place (K is overwritten).
 std::vector<std::size_t> select_materialized(std::span<double> k,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <optional>
+#include <thread>
 
 #include "core/advanced_tuner.hpp"
 #include "core/bted.hpp"
@@ -112,13 +113,35 @@ ModelTuneReport::best_flat_by_task() const {
 
 namespace {
 
-/// A task built ahead of its session: its TuningTask and a fresh tuner
-/// (prepared when the serial path pipelines), or the failure staging hit.
+/// The serial path's next task, built while the current one tunes: its
+/// TuningTask and what the current tuner's prepare() computed for it, or
+/// the failure staging hit.
 struct StagedTask {
   std::unique_ptr<TuningTask> task;
-  std::unique_ptr<Tuner> tuner;
+  std::shared_ptr<const PreparedState> prepared;
   std::exception_ptr error;
 };
+
+/// Runs `main` on the calling thread and `side` on another hand of the
+/// shared pool when one is free; returns once both are done. A tuner
+/// factory may keep per-thread state for the session it makes (perfbench's
+/// span wrappers do), so the session stays on the thread that made its
+/// tuner. On one CPU both run inline, `main` first; if a worker takes both
+/// of the pool's indices, `main` runs after `side`.
+template <typename Main, typename Side>
+void run_beside(const Main& main, const Side& side) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> main_taken{false};
+  std::atomic<bool> side_taken{false};
+  ThreadPool::shared().parallel_for(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller && !main_taken.exchange(true)) {
+      main();
+    } else if (!side_taken.exchange(true)) {
+      side();
+    }
+  });
+  if (!main_taken.load()) main();
+}
 
 }  // namespace
 
@@ -192,27 +215,19 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
     return tune_options;
   };
 
-  // Builds the task at position `i` into `staged` and, with `prepare`, runs
-  // its tuner's measurement-independent setup (Tuner::prepare). A failure is
-  // kept, not thrown: it surfaces when the task's turn comes.
-  const auto stage = [&](std::size_t i, StagedTask& staged, bool prepare) {
-    try {
-      staged.task = std::make_unique<TuningTask>(
-          tasks[i].workload, target, options.schedule_template);
-      if (prepare) staged.tuner->prepare(*staged.task, task_tune_options(i));
-    } catch (...) {
-      staged.error = std::current_exception();
-    }
+  const auto make_task = [&](std::size_t i) {
+    return std::make_unique<TuningTask>(tasks[i].workload, target,
+                                        options.schedule_template);
   };
 
-  // Tunes the staged task at position `i` (0-based model order) and writes
-  // its report slot.
-  const auto tune_one = [&](std::size_t i, StagedTask& staged,
-                            TransferContext* transfer_ptr) {
-    if (staged.error) std::rethrow_exception(staged.error);
+  // Tunes `tuning_task`, the task at position `i` (0-based model order),
+  // with `tuner`, and writes its report slot. `prepared` is what a
+  // Tuner::prepare() computed for the task ahead of time, or null.
+  const auto tune_one = [&](std::size_t i, const TuningTask& tuning_task,
+                            Tuner& tuner, TransferContext* transfer_ptr,
+                            std::shared_ptr<const PreparedState> prepared) {
     const Task& task = tasks[i];
     const std::uint64_t task_index = static_cast<std::uint64_t>(i) + 1;
-    const TuningTask& tuning_task = *staged.task;
     SimulatedDevice device(target, options.device_seed * 1000003 + task_index);
     // The fault plan gets a per-task seed the same way the device does, so
     // fault draws are pure in (plan seed, task position, flat, attempt) and
@@ -290,9 +305,9 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
                                    options.tune.seed * 6151 + task_index, obs);
     }
 
-    Tuner& tuner = *staged.tuner;
     if (prior.active()) tuner.set_transfer_prior(&prior);
     TuneOptions tune_options = task_tune_options(i);
+    tune_options.prepared = std::move(prepared);
     tune_options.obs = obs;
     TuneResult result = tuner.tune(measurer, tune_options);
 
@@ -358,40 +373,51 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
     const auto context_of = [&](std::size_t i) {
       return options.use_transfer ? &contexts[lane_of_task[i]] : nullptr;
     };
-    // Pipelining: while task i tunes, a second hand of the shared pool
-    // stages task i+1 — builds its TuningTask and runs its tuner's
-    // prepare() (the bted+bao tuner's cold-start BTED sweep). prepare() is
-    // pure and emits nothing, so results, traces and metrics are those of
-    // the unstaged run. It is off when the answer depends on the run (a
-    // transfer prior changes the initial set) and when a budget within
-    // num_initial leaves no BAO rounds to hide the staging behind. On one
-    // CPU the pool runs both hands inline, the session first.
+    // Pipelining: while task i tunes on this thread, another hand of the
+    // shared pool stages task i+1: it builds its TuningTask and has task i's
+    // tuner prepare() it (the bted+bao tuner's cold-start BTED sweep).
+    // prepare() is pure and emits nothing, so results, traces and metrics
+    // are those of the unstaged run. Task i+1's tuner is made only once
+    // task i's session has returned, and its session runs on this thread
+    // too, so each task's factory call, session and finalize still run in
+    // order on one thread. The pipeline is off when the answer depends on
+    // the run (a transfer prior changes the initial set) and when a budget
+    // within num_initial leaves no BAO rounds to hide the staging behind.
     const bool pipelined = tasks.size() > 1 &&
                            !(options.transfer.enabled && options.store) &&
                            options.tune.budget > options.tune.num_initial;
-    StagedTask current;
+    StagedTask staged;  // task i, when the previous iteration staged it
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       if (cancelled()) break;
-      if (!current.tuner) {  // first task, or not pipelined
-        // The first task prepares inline too, so its BTED sweep never runs
-        // beside the second task's staged one.
-        current.tuner = factory(context_of(i));
-        stage(i, current, pipelined);
+      if (staged.error) std::rethrow_exception(staged.error);
+      const std::unique_ptr<TuningTask> task =
+          staged.task ? std::move(staged.task) : make_task(i);
+      const std::unique_ptr<Tuner> tuner = factory(context_of(i));
+      if (pipelined && i == 0) {
+        // The first task prepares before its session rather than in it, so
+        // its BTED sweep never runs beside the second task's staged one:
+        // two sweeps at once raise the run's peak memory.
+        staged.prepared = tuner->prepare(*task, task_tune_options(0));
       }
+      const auto session = [&] {
+        tune_one(i, *task, *tuner, context_of(i), std::move(staged.prepared));
+      };
       StagedTask next;
-      if (!pipelined || i + 1 == tasks.size()) {
-        tune_one(i, current, context_of(i));
-      } else {
-        next.tuner = factory(context_of(i + 1));
-        ThreadPool::shared().parallel_for(2, [&](std::size_t hand) {
-          if (hand == 0) {
-            tune_one(i, current, context_of(i));
-          } else {
-            stage(i + 1, next, true);
+      if (pipelined && i + 1 < tasks.size()) {
+        // A failure is kept, not thrown: it surfaces at task i+1's turn.
+        run_beside(session, [&] {
+          try {
+            next.task = make_task(i + 1);
+            next.prepared =
+                tuner->prepare(*next.task, task_tune_options(i + 1));
+          } catch (...) {
+            next.error = std::current_exception();
           }
         });
+      } else {
+        session();
       }
-      current = std::move(next);
+      staged = std::move(next);
     }
   } else {
     const auto run_lane = [&](const std::vector<std::size_t>& lane) {
@@ -400,10 +426,9 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
           options.use_transfer ? &transfer : nullptr;
       for (const std::size_t i : lane) {
         if (cancelled()) return;
-        StagedTask staged;
-        staged.tuner = factory(transfer_ptr);
-        stage(i, staged, false);
-        tune_one(i, staged, transfer_ptr);
+        const std::unique_ptr<TuningTask> task = make_task(i);
+        const std::unique_ptr<Tuner> tuner = factory(transfer_ptr);
+        tune_one(i, *task, *tuner, transfer_ptr, nullptr);
       }
     };
     // min(jobs, lanes) runners, each claiming lanes in order, on a pool of

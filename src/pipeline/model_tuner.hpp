@@ -15,10 +15,11 @@
 // bitwise-identical to the jobs=1 run.
 //
 // The serial path (jobs=1, or a single lane) pipelines instead: while task
-// i tunes, task i+1 is built and its tuner's Tuner::prepare() runs on the
-// shared pool (the bted+bao tuner's BTED init). prepare() is pure, so the
-// results and trace bytes are those of the unstaged run. It is off when a
-// transfer prior is built and when budget <= num_initial.
+// i tunes on the calling thread, another hand of the shared pool builds
+// task i+1 and has task i's tuner Tuner::prepare() it (the bted+bao
+// tuner's BTED init). prepare() is pure, so the results and trace bytes
+// are those of the unstaged run. It is off when a transfer prior is built
+// and when budget <= num_initial.
 #pragma once
 
 #include <functional>

@@ -146,21 +146,19 @@ ServeSocketServer::~ServeSocketServer() {
   std::vector<std::unique_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& c : connections_) ::shutdown(c->control_fd, SHUT_RD);
+    for (const auto& c : connections_) {
+      if (!c->done) ::shutdown(c->fd, SHUT_RD);
+    }
     connections.swap(connections_);
   }
-  for (const auto& c : connections) {
-    c->thread.join();
-    ::close(c->control_fd);
-  }
+  for (const auto& c : connections) c->thread.join();
   ::unlink(path_.c_str());
 }
 
 void ServeSocketServer::reap_finished_locked() {
   std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
-    if (!c->done.load()) return false;
+    if (!c->done) return false;
     c->thread.join();
-    ::close(c->control_fd);
     return true;
   });
 }
@@ -184,11 +182,16 @@ void ServeSocketServer::serve_forever() {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     reap_finished_locked();
     auto connection = std::make_unique<Connection>();
-    connection->control_fd = ::dup(fd);
+    connection->fd = fd;
     Connection* c = connection.get();
-    connection->thread = std::thread([this, fd, c] {
-      handle_connection(fd);
-      c->done.store(true);
+    connection->thread = std::thread([this, c] {
+      LineChannel channel(c->fd, kMaxRequestLineBytes);
+      handle_connection(channel);
+      // Closing the socket here, as the connection ends, is what gives the
+      // client end-of-file when the daemon hangs up first.
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      channel.close();
+      c->done = true;
     });
     connections_.push_back(std::move(connection));
   }
@@ -197,8 +200,7 @@ void ServeSocketServer::serve_forever() {
   if (!stop_.load()) server_.wait_idle();
 }
 
-void ServeSocketServer::handle_connection(int fd) {
-  LineChannel channel(fd, kMaxRequestLineBytes);
+void ServeSocketServer::handle_connection(LineChannel& channel) {
   while (std::optional<std::string> line = channel.recv_line()) {
     ServeRequest req;
     bool is_stream = false;

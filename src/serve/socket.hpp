@@ -108,16 +108,16 @@ class ServeSocketServer {
   void stop();
 
  private:
-  /// One accepted connection and the thread that services it.
+  /// One accepted connection and the thread that services it. The thread
+  /// closes `fd` and sets `done` together under connections_mutex_, so an
+  /// fd the destructor shuts down is never one already closed (or reused).
   struct Connection {
-    /// A dup of the connection's fd, so the destructor can shut the socket
-    /// down while the thread still owns (and may close) the original.
-    int control_fd = -1;
-    std::atomic<bool> done{false};  // set by the thread as it ends
+    int fd = -1;
+    bool done = false;  // connections_mutex_
     std::thread thread;
   };
 
-  void handle_connection(int fd);
+  void handle_connection(LineChannel& channel);
   /// Joins the threads of connections that have ended. connections_mutex_.
   void reap_finished_locked();
 

@@ -107,12 +107,6 @@ double sq_dist(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
-                      ThreadPool* pool) {
-  out.resize(x.rows * x.rows);
-  pairwise_sq_dist(x, out.data(), pool);
-}
-
 void pairwise_sq_dist(const Matrix& x, double* out, ThreadPool* pool) {
   const std::size_t n = x.rows;
   const std::size_t d = x.cols;

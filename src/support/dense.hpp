@@ -72,13 +72,10 @@ double sq_dist(const double* a, const double* b, std::size_t n);
 /// Pairwise squared Euclidean distances via the Gram identity
 /// ||xi-xj||^2 = ||xi||^2 + ||xj||^2 - 2<xi,xj>, blocked over row tiles
 /// and clamped at zero (the identity can go ~1 ulp negative for
-/// near-duplicate rows). Symmetric with a zero diagonal; `out` is resized
-/// to n*n. Each <xi,xj> is bitwise dot(xi, xj, d), computed by dot_rows.
-/// With a `pool`, the row tiles run on it (bitwise the serial result).
-void pairwise_sq_dist(const Matrix& x, std::vector<double>& out,
-                      ThreadPool* pool = nullptr);
-
-/// Same, into caller storage of n*n doubles.
+/// near-duplicate rows). Symmetric with a zero diagonal; written to `out`,
+/// caller storage of n*n doubles. Each <xi,xj> is bitwise dot(xi, xj, d),
+/// computed by dot_rows. With a `pool`, the row tiles run on it (bitwise
+/// the serial result).
 void pairwise_sq_dist(const Matrix& x, double* out, ThreadPool* pool = nullptr);
 
 /// `size` doubles in anonymous pages of their own, unmapped (returned to

@@ -18,9 +18,11 @@ std::vector<double> TuneResult::best_curve() const {
   return curve;
 }
 
-void Tuner::prepare(const TuningTask& task, const TuneOptions& options) {
+std::shared_ptr<const PreparedState> Tuner::prepare(
+    const TuningTask& task, const TuneOptions& options) const {
   (void)task;
   (void)options;
+  return nullptr;
 }
 
 void Tuner::begin(const Measurer& measurer, const TuneOptions& options) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +29,12 @@ namespace aal {
 
 class MeasureBackend;
 struct TransferPrior;  // src/transfer: cross-run warm-start prior
+
+/// What a Tuner::prepare() computed ahead of a session. Each policy derives
+/// its own type and recognizes only that.
+struct PreparedState {
+  virtual ~PreparedState() = default;
+};
 
 /// Policy-loop options. Composes the shared SessionOptions knobs — the
 /// session honors `budget`, `early_stopping`, `seed` and `cancel`;
@@ -46,6 +53,12 @@ struct TuneOptions : SessionOptions {
   /// backend-invariant (see DESIGN.md §3), so sharing lanes never changes
   /// what any session computes.
   MeasureBackend* backend = nullptr;
+
+  /// What the policy's prepare() returned for this session's task and
+  /// options, or null. A policy uses it only after checking that it was
+  /// computed for this session (task, options and its own params) and
+  /// computes the same state itself otherwise.
+  std::shared_ptr<const PreparedState> prepared;
 
   /// Observability handle (trace sink + metrics registry + lane label).
   /// Inactive by default; the session forwards it to the measurer and the
@@ -91,14 +104,16 @@ class Tuner {
   virtual ~Tuner() = default;
   virtual std::string name() const = 0;
 
-  /// Measurement-independent setup for `task`, run before the session
-  /// starts. Must be pure in (task, options, this tuner's params): it emits
-  /// no obs (`options.obs` is ignored), reads no measurer and no shared
-  /// state, so it may run on another thread while a different tuner's
-  /// session runs. A policy that overrides it must give the same results
-  /// whether or not it was called. tune_model's serial path stages task
-  /// i+1 this way while task i tunes. The default does nothing.
-  virtual void prepare(const TuningTask& task, const TuneOptions& options);
+  /// Measurement-independent setup for `task`, computed before its session
+  /// starts and handed to it as TuneOptions::prepared. Must be pure in
+  /// (task, options, this tuner's params): it emits no obs (`options.obs`
+  /// is ignored), reads no measurer and no shared state, so it may run on
+  /// another thread while a session (this tuner's own included) runs. A
+  /// policy that overrides it must give the same results whether or not its
+  /// session was handed the state. tune_model's serial path has task i's
+  /// tuner prepare task i+1 while task i tunes. The default returns null.
+  virtual std::shared_ptr<const PreparedState> prepare(
+      const TuningTask& task, const TuneOptions& options) const;
 
   /// Called once by the session before the first propose(). The measurer
   /// reference stays valid for the whole session; policies may hold it to

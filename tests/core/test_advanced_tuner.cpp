@@ -108,24 +108,35 @@ TEST_F(AdvancedTunerTest, BeatsRandomSearchOnAverage) {
 
 TEST_F(AdvancedTunerTest, PrepareIsOptionalAndMatchedToItsSession) {
   // prepare() only moves the cold-start BTED sweep ahead of the session:
-  // a run prepared for its own task and options equals an unprepared run,
-  // and one prepared for other options recomputes instead of reusing.
-  const auto run = [&](const std::optional<std::uint64_t>& prepared_seed) {
+  // a run handed the state prepared for its own task and options equals a
+  // run handed nothing, and one handed a state prepared for other options
+  // or by a tuner with other BTED params recomputes instead of reusing.
+  BtedParams other_bted = quick_bted();
+  other_bted.num_batches = 3;
+  const auto run = [&](const std::optional<std::uint64_t>& prepared_seed,
+                       const BtedParams& prepared_bted) {
     TuningTask task(workload_, spec_);
     SimulatedDevice device(spec_, 7);
     Measurer measurer(task, device);
     AdvancedActiveLearningTuner tuner(quick_bted());
-    if (prepared_seed) tuner.prepare(task, quick_options(*prepared_seed));
-    return tuner.tune(measurer, quick_options(5));
+    TuneOptions options = quick_options(5);
+    if (prepared_seed) {
+      const AdvancedActiveLearningTuner preparer(prepared_bted);
+      options.prepared = preparer.prepare(task, quick_options(*prepared_seed));
+      EXPECT_NE(options.prepared, nullptr);
+    }
+    return tuner.tune(measurer, options);
   };
   const auto flats = [](const TuneResult& r) {
     std::vector<std::int64_t> out;
     for (const TunePoint& p : r.history) out.push_back(p.flat);
     return out;
   };
-  const std::vector<std::int64_t> cold = flats(run(std::nullopt));
-  EXPECT_EQ(flats(run(5)), cold);
-  EXPECT_EQ(flats(run(6)), cold);
+  const std::vector<std::int64_t> cold =
+      flats(run(std::nullopt, quick_bted()));
+  EXPECT_EQ(flats(run(5, quick_bted())), cold);
+  EXPECT_EQ(flats(run(6, quick_bted())), cold);
+  EXPECT_EQ(flats(run(5, other_bted)), cold);
 }
 
 TEST_F(AdvancedTunerTest, ParamsAccessible) {

@@ -70,10 +70,10 @@ TEST(TedKernelBuild, PairwiseMatchesTheBlockedReferenceBitwise) {
                               97u, 500u}) {
     for (const std::size_t d : {1u, 3u, 4u, 7u, 20u}) {
       const dense::Matrix x = random_matrix(n, d, rng);
-      std::vector<double> want, got, got_pool;
+      std::vector<double> want, got(n * n), got_pool(n * n);
       reference::pairwise_sq_dist_blocked(x, want);
-      dense::pairwise_sq_dist(x, got);
-      dense::pairwise_sq_dist(x, got_pool, &pool);
+      dense::pairwise_sq_dist(x, got.data());
+      dense::pairwise_sq_dist(x, got_pool.data(), &pool);
       EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n << " d=" << d;
       EXPECT_TRUE(bitwise_equal(got_pool, want)) << "n=" << n << " d=" << d;
     }
@@ -84,7 +84,8 @@ TEST(TedKernelBuild, MedianMatchesTheReferenceBitwise) {
   Rng rng(32);
   std::vector<double> sq;
   const auto check = [&](const dense::Matrix& x, const std::string& what) {
-    dense::pairwise_sq_dist(x, sq);
+    sq.assign(x.rows * x.rows, 0.0);
+    dense::pairwise_sq_dist(x, sq.data());
     const double want = reference::median_distance(sq, x.rows);
     const double got = ted_detail::median_distance(sq, x.rows);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
@@ -131,11 +132,11 @@ TEST(TedKernelBuild, KernelMatchesTheReferenceBitwise) {
         params.kernel = kernel;
         params.rbf_sigma = sigma;
         const std::vector<double> want = reference::build_ted_kernel(x, params);
-        EXPECT_TRUE(bitwise_equal(ted_detail::build_kernel(x, params), want))
-            << "n=" << n;
-        EXPECT_TRUE(
-            bitwise_equal(ted_detail::build_kernel(x, params, &pool), want))
-            << "n=" << n << " (pool)";
+        std::vector<double> got(n * n), got_pool(n * n);
+        ted_detail::build_kernel(x, params, got.data());
+        ted_detail::build_kernel(x, params, got_pool.data(), &pool);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
+        EXPECT_TRUE(bitwise_equal(got_pool, want)) << "n=" << n << " (pool)";
       }
     }
   }
@@ -170,7 +171,8 @@ TEST_P(TedPickEquality, LazyMaterializedAndScalarReferenceAgree) {
       dense::Matrix x = features;
       dense::standardize_columns(x);
       const std::size_t n = x.rows;
-      const std::vector<double> k = ted_detail::build_kernel(x, params);
+      std::vector<double> k(n * n);
+      ted_detail::build_kernel(x, params, k.data());
       std::vector<double> k_mut = k;
       const auto mat =
           ted_detail::select_materialized(k_mut, n, std::min(m, n), params.mu);

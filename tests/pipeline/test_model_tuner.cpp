@@ -8,6 +8,8 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/advanced_tuner.hpp"
@@ -136,23 +138,26 @@ TEST_F(ModelTunerTest, DeterministicGivenSeeds) {
 
 /// A bted+bao tuner behind test hooks: prepare() may be withheld from it
 /// (the unstaged path), and callbacks see every prepare() and observe()
-/// with the task's derived seed.
+/// with the task's derived seed, and every begin() and finalize().
 class ProbeTuner final : public Tuner {
  public:
   struct Hooks {
     bool forward_prepare = true;
     std::function<void(std::uint64_t seed)> on_prepare;
     std::function<void(std::uint64_t seed)> on_observe;
+    std::function<void(const char* call)> on_call;
   };
 
   explicit ProbeTuner(Hooks hooks) : hooks_(std::move(hooks)) {}
 
   std::string name() const override { return inner_.name(); }
-  void prepare(const TuningTask& task, const TuneOptions& options) override {
+  std::shared_ptr<const PreparedState> prepare(
+      const TuningTask& task, const TuneOptions& options) const override {
     if (hooks_.on_prepare) hooks_.on_prepare(options.seed);
-    if (hooks_.forward_prepare) inner_.prepare(task, options);
+    return hooks_.forward_prepare ? inner_.prepare(task, options) : nullptr;
   }
   void begin(const Measurer& measurer, const TuneOptions& options) override {
+    if (hooks_.on_call) hooks_.on_call("begin");
     seed_ = options.seed;
     inner_.begin(measurer, options);
   }
@@ -165,6 +170,7 @@ class ProbeTuner final : public Tuner {
   }
   void finalize(const Measurer& measurer) override {
     inner_.finalize(measurer);
+    if (hooks_.on_call) hooks_.on_call("finalize");
   }
 
  private:
@@ -175,6 +181,7 @@ class ProbeTuner final : public Tuner {
 
 TunerFactory probe_factory(const ProbeTuner::Hooks& hooks) {
   return [hooks](TransferContext*) -> std::unique_ptr<Tuner> {
+    if (hooks.on_call) hooks.on_call("factory");
     return std::make_unique<ProbeTuner>(hooks);
   };
 }
@@ -211,7 +218,7 @@ TEST_F(ModelPipeline, StagedRunEqualsUnstagedRun) {
   const ModelTuneReport unstaged = tune_model(
       g, spec_, probe_factory(hooks), pipeline_options(unstaged_sink));
 
-  EXPECT_EQ(prepares.load(), 3);  // every task was staged
+  EXPECT_EQ(prepares.load(), 3);  // every task was prepared ahead
   ASSERT_FALSE(staged_sink.to_jsonl().empty());
   EXPECT_EQ(staged_sink.to_jsonl(), unstaged_sink.to_jsonl());
   ASSERT_EQ(staged.tasks.size(), unstaged.tasks.size());
@@ -223,6 +230,35 @@ TEST_F(ModelPipeline, StagedRunEqualsUnstagedRun) {
       EXPECT_EQ(a.history[j].flat, b.history[j].flat);
       EXPECT_EQ(a.history[j].gflops, b.history[j].gflops);
     }
+  }
+}
+
+TEST_F(ModelPipeline, EachTasksFactoryCallAndSessionRunInOrderOnTheCaller) {
+  // A factory may keep per-thread state for the tuner it makes (perfbench's
+  // span wrappers do): the next task's tuner must not be made before the
+  // current session has finished, nor its session run on another thread.
+  const Graph g = testing::tiny_cnn();
+  MemoryTraceSink sink;
+  std::mutex mutex;
+  std::vector<std::string> calls;
+  std::vector<std::thread::id> threads;
+  ProbeTuner::Hooks hooks;
+  hooks.on_call = [&](const char* call) {
+    std::lock_guard<std::mutex> lock(mutex);
+    calls.emplace_back(call);
+    threads.push_back(std::this_thread::get_id());
+  };
+  std::atomic<int> prepares{0};
+  hooks.on_prepare = [&](std::uint64_t) { ++prepares; };
+  (void)tune_model(g, spec_, probe_factory(hooks), pipeline_options(sink));
+
+  EXPECT_EQ(prepares.load(), 3);
+  const std::vector<std::string> expected = {
+      "factory", "begin", "finalize", "factory", "begin",
+      "finalize", "factory", "begin", "finalize"};
+  EXPECT_EQ(calls, expected);
+  for (const std::thread::id id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
   }
 }
 

@@ -66,8 +66,8 @@ TEST(DensePairwiseSqDist, BlockedMatchesNaive) {
   Rng rng(5);
   for (const std::size_t n : {1u, 2u, 48u, 49u, 120u}) {
     const dense::Matrix x = random_matrix(n, 7, rng);
-    std::vector<double> fast, naive;
-    dense::pairwise_sq_dist(x, fast);
+    std::vector<double> fast(n * n), naive;
+    dense::pairwise_sq_dist(x, fast.data());
     reference::pairwise_sq_dist_naive(x, naive);
     ASSERT_EQ(fast.size(), n * n);
     for (std::size_t i = 0; i < fast.size(); ++i) {
@@ -85,8 +85,8 @@ TEST(DensePairwiseSqDist, ZeroDiagonalAndDuplicateRowsNonNegative) {
     x.at(i, 1) = -7.654321;
     x.at(i, 2) = 3.1415926;
   }
-  std::vector<double> sq;
-  dense::pairwise_sq_dist(x, sq);
+  std::vector<double> sq(4 * 4);
+  dense::pairwise_sq_dist(x, sq.data());
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(sq[i * 4 + i], 0.0);
     for (std::size_t j = 0; j < 4; ++j) EXPECT_GE(sq[i * 4 + j], 0.0);
