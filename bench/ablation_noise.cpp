@@ -23,11 +23,13 @@ double run_with_repeats(const Workload& w, const TargetSpec& spec,
   TuneOptions options;
   options.budget = std::min<std::int64_t>(budget(), 512);
   options.early_stopping = 0;
+  MeasureOptions measure;
+  measure.repeats = repeats;
   double total = 0.0;
   for (int trial = 0; trial < trials(); ++trial) {
     TuningTask task(w, spec);
     SimulatedDevice device(spec, salt * 37 + static_cast<std::uint64_t>(trial));
-    Measurer measurer(task, device, repeats);
+    Measurer measurer(task, device, measure);
     auto tuner = factory(nullptr);
     options.seed = salt * 53 + static_cast<std::uint64_t>(trial) + 1;
     const TuneResult result = tuner->tune(measurer, options);

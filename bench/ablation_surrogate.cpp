@@ -7,7 +7,6 @@
 
 #include "core/advanced_tuner.hpp"
 #include "exp_common.hpp"
-#include "ml/mlp.hpp"
 #include "graph/fusion.hpp"
 #include "graph/models.hpp"
 #include "support/string_util.hpp"
@@ -22,15 +21,11 @@ int main() {
   const auto tasks = extract_tasks(fuse(make_mobilenet_v1()));
   const Workload workloads[] = {tasks[0].workload, tasks[1].workload};
 
-  // Smaller budget than the other ablations: the MLP refits every BAO
-  // iteration and is the costliest family even at reduced size.
+  // Smaller budget than the other ablations: BAO refits Gamma surrogates
+  // every round, once per family and trial.
   TuneOptions options;
   options.budget = std::min<std::int64_t>(budget(), 256);
   options.early_stopping = 0;
-
-  MlpParams mlp;  // downsized for per-iteration refits
-  mlp.hidden = {32, 16};
-  mlp.epochs = 25;
 
   struct Family {
     const char* label;
@@ -42,7 +37,6 @@ int main() {
            AdvancedActiveLearningTuner::default_bootstrap_gbdt_params())},
       {"ridge", std::make_shared<RidgeSurrogateFactory>()},
       {"knn(5)", std::make_shared<KnnSurrogateFactory>(5)},
-      {"mlp", std::make_shared<MlpSurrogateFactory>(mlp)},
   };
 
   TextTable table;

@@ -15,7 +15,6 @@
 #include "pipeline/model_tuner.hpp"
 #include "support/logging.hpp"
 #include "support/string_util.hpp"
-#include "tuner/chameleon_tuner.hpp"
 #include "tuner/ga_tuner.hpp"
 #include "tuner/random_tuner.hpp"
 #include "tuner/xgb_tuner.hpp"
@@ -38,18 +37,17 @@ int main(int argc, char** argv) {
     const char* label;
     std::unique_ptr<Tuner> tuner;
   };
-  Arm arms[6];
+  Arm arms[5];
   arms[0] = {"random", std::make_unique<RandomTuner>()};
   arms[1] = {"ga", std::make_unique<GaTuner>()};
   arms[2] = {"autotvm (xgb+sa)", std::make_unique<XgbTuner>()};
-  arms[3] = {"chameleon-style", std::make_unique<ChameleonTuner>()};
   {
     auto bted = std::make_unique<XgbTuner>(
         std::make_shared<GbdtSurrogateFactory>(), bted_init_sampler());
     bted->set_name("bted");
-    arms[4] = {"bted init + xgb", std::move(bted)};
+    arms[3] = {"bted init + xgb", std::move(bted)};
   }
-  arms[5] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
+  arms[4] = {"bted + bao", std::make_unique<AdvancedActiveLearningTuner>()};
 
   TextTable table;
   table.set_header(

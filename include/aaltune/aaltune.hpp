@@ -11,9 +11,7 @@
 // -> tune with a store -> query best configs.
 //
 // Embedders should prefer this header over reaching into src/ internals:
-// everything here is the supported surface, and SessionOptions
-// (measure/session_options.hpp) is the shared knob vocabulary every options
-// struct composes.
+// everything here is the supported surface.
 #pragma once
 
 // Support: errors (aal::Error hierarchy), logging, RNG.
@@ -41,10 +39,9 @@
 #include "hwsim/target.hpp"
 #include "space/config_space.hpp"
 
-// Measurement: shared session knobs, tasks, measurer, record logs.
+// Measurement: tasks, measurer, record logs.
 #include "measure/measure.hpp"
 #include "measure/record.hpp"
-#include "measure/session_options.hpp"
 #include "measure/tuning_task.hpp"
 
 // Tuners: the ask/tell policy interface, sessions, and the paper's

@@ -17,19 +17,6 @@ Measurer::Measurer(const TuningTask& task, const Device& device,
             "backoff_base_us must be >= 0");
 }
 
-namespace {
-
-MeasureOptions repeats_only(int repeats) {
-  MeasureOptions options;
-  options.repeats = repeats;
-  return options;
-}
-
-}  // namespace
-
-Measurer::Measurer(const TuningTask& task, const Device& device, int repeats)
-    : Measurer(task, device, repeats_only(repeats)) {}
-
 MeasureResult Measurer::compute(const Config& config) const {
   const KernelProfile profile = task_.profile(config);
   const RetryPolicy& policy = options_.retry;

@@ -77,12 +77,6 @@ constexpr NamedTunerFactory kTunerRegistry[] = {
 
 }  // namespace
 
-std::vector<std::string> tuner_factory_names() {
-  std::vector<std::string> names;
-  for (const NamedTunerFactory& f : kTunerRegistry) names.emplace_back(f.name);
-  return names;
-}
-
 TunerFactory tuner_factory_by_name(const std::string& name) {
   for (const NamedTunerFactory& f : kTunerRegistry) {
     if (name == f.name) return f.make();
@@ -208,10 +202,7 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
     TuneOptions tune_options = options.tune;
     tune_options.seed =
         options.tune.seed * 7907 + static_cast<std::uint64_t>(i) + 1;
-    if (options.cancel != nullptr) tune_options.cancel = options.cancel;
-    if (options.measure_backend != nullptr) {
-      tune_options.backend = options.measure_backend;
-    }
+    tune_options.backend = options.measure_backend;
     return tune_options;
   };
 
@@ -353,10 +344,10 @@ ModelTuneReport tune_model(const Graph& graph, const TargetSpec& target,
 
   // Cooperative cancellation: a task that has not started when the flag is
   // raised is skipped (its report slot stays empty); the in-flight session
-  // stops itself at its next round boundary via SessionOptions::cancel.
+  // stops itself at its next round boundary via TuneOptions::cancel.
   const auto cancelled = [&options] {
-    return options.cancel != nullptr &&
-           options.cancel->load(std::memory_order_relaxed);
+    return options.tune.cancel != nullptr &&
+           options.tune.cancel->load(std::memory_order_relaxed);
   };
 
   if (!parallel) {
@@ -490,11 +481,6 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
   SimulatedDevice device(target, device_seed);
   Measurer measurer(task, device);
   return tuner.tune(measurer, options);
-}
-
-TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
-                         Tuner& tuner, const TuneOptions& options) {
-  return tune_workload(workload, target, tuner, options, options.device_seed);
 }
 
 }  // namespace aal

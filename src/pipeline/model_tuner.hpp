@@ -55,12 +55,9 @@ TunerFactory bted_bao_tuner_factory();         // full advanced framework
 TunerFactory random_tuner_factory();
 TunerFactory ga_tuner_factory();
 
-/// The stable tuner names the CLI's --tuner flag and the serve protocol's
-/// "tuner" field accept, in registry order.
-std::vector<std::string> tuner_factory_names();
-
-/// Factory for a registry name; throws InvalidArgument (naming the valid
-/// set) on an unknown name.
+/// Factory for a registry name — the stable names the CLI's --tuner flag
+/// and the serve protocol's "tuner" field accept; throws InvalidArgument
+/// (naming the valid set) on an unknown name.
 TunerFactory tuner_factory_by_name(const std::string& name);
 
 struct TaskTuneReport {
@@ -80,14 +77,33 @@ struct ModelTuneReport {
   std::unordered_map<std::string, std::int64_t> best_flat_by_task() const;
 };
 
-/// Model-pipeline options. Composes the shared SessionOptions knobs: the
-/// pipeline honors `device_seed` (per-task noise seeds are derived from it),
-/// `faults` (per-task fault seeds likewise) and the `trace` / `metrics`
-/// sinks; the base's `seed`, `budget`, `early_stopping` and `retry` are
-/// inert here — per-task policy knobs come from `tune`, measurement knobs
-/// from `measure`.
-struct ModelTuneOptions : SessionOptions {
-  TuneOptions tune;                  // per-task budget / early stopping
+/// Model-pipeline options. Each task's session runs with a copy of `tune`
+/// in which the pipeline sets four fields: `seed` (derived from `tune.seed`
+/// and the task's model-order position), `backend` (= `measure_backend`),
+/// `prepared` (what a Tuner::prepare() staged for the task, or null) and
+/// `obs` (built from `trace` / `metrics` with the task's lane label). The
+/// rest of `tune` — budget, early stopping, batch size, initial samples and
+/// the `cancel` flag — applies to every task as set. `cancel` also makes
+/// the pipeline skip tasks not yet started; records measured before it was
+/// raised still flush to a writable store.
+struct ModelTuneOptions {
+  TuneOptions tune;                  // per-task policy knobs (see above)
+  /// Measurement-noise stream: per-task device seeds are derived from it
+  /// and the task's model-order position.
+  std::uint64_t device_seed = 1234;
+  /// Fault-injection plan (inactive by default): when active, every task's
+  /// device is wrapped in a FaultyDevice with a per-task seed derived from
+  /// `faults.seed` and the task's model-order position, deterministic at
+  /// any jobs value.
+  FaultPlan faults;
+  /// Whole-run trace sink (non-owning; may be null): with jobs > 1 each task
+  /// buffers its events in a private MemoryTraceSink replayed in model order
+  /// after the lanes join; serial runs execute tasks in model order and emit
+  /// directly, so the sink sees live events and the final bytes are
+  /// identical for every jobs value.
+  TraceSink* trace = nullptr;
+  /// Metrics registry shared by every task (non-owning; may be null).
+  MetricsRegistry* metrics = nullptr;
   bool use_transfer = true;          // share records across the model's tasks
   /// Optional tuning log from a previous session: each task's measurer is
   /// preloaded with its matching records, so historical configurations are
@@ -130,24 +146,6 @@ struct ModelTuneOptions : SessionOptions {
   /// over shared lanes; results and traces are backend-invariant, so this
   /// never changes what a run computes.
   MeasureBackend* measure_backend = nullptr;
-
-  // Inherited from SessionOptions (historical field names unchanged):
-  //   device_seed — measurement-noise stream
-  //   faults      — fault-injection plan: when active, every task's device
-  //                 is wrapped in a FaultyDevice with a per-task seed
-  //                 derived from faults.seed and the task's model-order
-  //                 position, deterministic at any jobs value
-  //   trace       — whole-run trace sink: with jobs > 1 each task buffers
-  //                 its events in a private MemoryTraceSink replayed in
-  //                 model order after the lanes join; serial runs execute
-  //                 tasks in model order and emit directly, so the sink sees
-  //                 live events and the final bytes are identical for every
-  //                 jobs value (non-owning; may be null)
-  //   metrics     — metrics registry shared by every task (may be null)
-  //   cancel      — cooperative cancellation flag: tasks not yet started are
-  //                 skipped, the running session stops at its next round
-  //                 boundary, and records measured so far still flush to a
-  //                 writable store (non-owning; may be null)
 };
 
 /// Tunes every task of `graph` with tuners from `factory` against `target`.
@@ -166,11 +164,5 @@ TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
                          Tuner& tuner, const TuneOptions& options,
                          std::uint64_t device_seed,
                          const std::string& template_request = std::string());
-
-/// Same, with the noise stream taken from the shared options
-/// (`options.device_seed`) — the natural spelling for SessionOptions-style
-/// callers.
-TuneResult tune_workload(const Workload& workload, const TargetSpec& target,
-                         Tuner& tuner, const TuneOptions& options);
 
 }  // namespace aal

@@ -357,11 +357,11 @@ void TuneServer::run_job(Job& job) {
     options.tune.budget = job.spec.budget;
     options.tune.early_stopping = job.spec.early_stop;
     options.tune.seed = static_cast<std::uint64_t>(job.spec.seed);
+    options.tune.cancel = &job.cancel;
     options.device_seed = options.tune.seed * 1009 + 7;
     options.jobs = 1;
     options.trace = &job.trace;
     options.metrics = &job.job_metrics;
-    options.cancel = &job.cancel;
     options.store = store_.get();
     // Warm-start from fleet history on request; degrades to a no-op when
     // the daemon runs storeless (the prior needs store history to read).

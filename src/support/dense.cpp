@@ -98,15 +98,6 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-double sq_dist(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 void pairwise_sq_dist(const Matrix& x, double* out, ThreadPool* pool) {
   const std::size_t n = x.rows;
   const std::size_t d = x.cols;

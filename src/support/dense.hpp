@@ -2,12 +2,12 @@
 //
 // The tuner's CPU time concentrates in a handful of dense linear-algebra
 // shapes: the pairwise-distance/Gram matrices behind TED and BTED
-// (Algorithms 1-2), the per-resample surrogate fits of BS/BAO (Algorithms
-// 3-4), and the k-means / MLP inner loops of the auxiliary models. Those
-// hot loops share this layer instead of each carrying its own scalar
-// triple-loop: a flat row-major matrix, a cache-blocked pairwise
-// squared-distance builder, unrolled dot/axpy, a one-pass Welford column
-// standardizer, and the rank-one-deflation step of TED.
+// (Algorithms 1-2) and the per-resample surrogate fits of BS/BAO
+// (Algorithms 3-4). Those hot loops share this layer instead of each
+// carrying its own scalar triple-loop: a flat row-major matrix, a
+// cache-blocked pairwise squared-distance builder, unrolled dot/axpy, a
+// one-pass Welford column standardizer, and the rank-one-deflation step of
+// TED.
 //
 // The scalar loops these kernels replaced live in tests/reference
 // (`aal_reference`): the unit tests' oracles and the baseline side of
@@ -52,7 +52,7 @@ Matrix from_rows(const std::vector<std::vector<double>>& rows);
 /// Dot product with four independent accumulators (so the compiler can keep
 /// four vector lanes busy without reassociating a single serial sum). The
 /// summation order differs from a naive left-to-right loop; callers that
-/// need bit-stable streaming sums (k-means) use sq_dist/axpy instead.
+/// need a bit-stable streaming sum use axpy instead.
 double dot(const double* a, const double* b, std::size_t n);
 
 /// out[r] = dot(rows + r * stride, x, n) for r in [0, count), each bitwise
@@ -63,11 +63,6 @@ void dot_rows(const double* rows, std::size_t stride, std::size_t count,
 
 /// y += alpha * x, sequential order (bitwise equal to the scalar loop).
 void axpy(double alpha, const double* x, double* y, std::size_t n);
-
-/// Squared Euclidean distance, accumulated in index order — bitwise equal
-/// to the classic scalar loop, so existing consumers (k-means) keep their
-/// exact numerical behavior.
-double sq_dist(const double* a, const double* b, std::size_t n);
 
 /// Pairwise squared Euclidean distances via the Gram identity
 /// ||xi-xj||^2 = ||xi||^2 + ||xj||^2 - 2<xi,xj>, blocked over row tiles

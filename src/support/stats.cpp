@@ -44,16 +44,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double min_value(std::span<const double> xs) {
-  AAL_CHECK(!xs.empty(), "min_value of empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_value(std::span<const double> xs) {
-  AAL_CHECK(!xs.empty(), "max_value of empty span");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double median(std::vector<double> xs) {
   AAL_CHECK(!xs.empty(), "median of empty vector");
   const std::size_t mid = xs.size() / 2;

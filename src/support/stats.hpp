@@ -55,9 +55,6 @@ double variance(std::span<const double> xs);
 
 double stddev(std::span<const double> xs);
 
-double min_value(std::span<const double> xs);
-double max_value(std::span<const double> xs);
-
 /// Median (average of the two middle elements for even sizes). Copies.
 double median(std::vector<double> xs);
 

@@ -27,7 +27,7 @@ std::shared_ptr<const PreparedState> Tuner::prepare(
 
 void Tuner::begin(const Measurer& measurer, const TuneOptions& options) {
   (void)measurer;
-  obs_ = options.effective_obs();
+  obs_ = options.obs;
 }
 
 void Tuner::observe(std::span<const MeasureResult> results) { (void)results; }

@@ -13,6 +13,7 @@
 // jobs=1.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,11 +37,27 @@ struct PreparedState {
   virtual ~PreparedState() = default;
 };
 
-/// Policy-loop options. Composes the shared SessionOptions knobs — the
-/// session honors `budget`, `early_stopping`, `seed` and `cancel`;
-/// `device_seed`, `retry` and `faults` are inert here (they configure the
-/// measurer the caller builds separately).
-struct TuneOptions : SessionOptions {
+/// Policy-loop options: what the TuningSession and the policy read.
+struct TuneOptions {
+  /// Policy randomness stream (samplers, SA, bootstrap draws).
+  std::uint64_t seed = 1;
+
+  /// Measured-config budget and early-stopping patience (AutoTVM
+  /// semantics: budget caps distinct measured configs, early stopping
+  /// aborts after that many consecutive non-improving measurements).
+  std::int64_t budget = 1024;
+  std::int64_t early_stopping = 400;
+
+  /// Cooperative cancellation flag (non-owning; may be null), checked once
+  /// per propose/measure/observe round: a raised flag stops the session at
+  /// the next round boundary with StopReason::kCancelled. tune_model also
+  /// skips every task that has not started yet. Cancellation is clean:
+  /// completed measurements stay committed, the session_end event is still
+  /// emitted, and a writable store still receives the records measured
+  /// before the flag was raised. A session that never observes a raised
+  /// flag behaves (and traces) exactly as if the field were null.
+  const std::atomic<bool>* cancel = nullptr;
+
   int batch_size = 64;   // configs measured per optimization round
 
   /// Number of initial samples (AutoTVM default: 64).
@@ -64,18 +81,6 @@ struct TuneOptions : SessionOptions {
   /// Inactive by default; the session forwards it to the measurer and the
   /// policy, so every layer of the run reports through one handle.
   Obs obs;
-
-  /// The obs handle the session should actually use: `obs` when it carries
-  /// any receiver, otherwise one assembled from the shared `trace` /
-  /// `metrics` pointers — so embedders configuring only the SessionOptions
-  /// base still get observability without touching the Obs type.
-  Obs effective_obs() const {
-    if (obs.active()) return obs;
-    Obs out = obs;  // keeps the lane label
-    out.trace = trace;
-    out.metrics = metrics;
-    return out;
-  }
 };
 
 struct TunePoint {

@@ -56,7 +56,7 @@ TuningSession::StopReason TuningSession::check_stop() const {
 
 void TuningSession::ensure_begun() {
   if (begun_) return;
-  obs_ = options_.effective_obs();
+  obs_ = options_.obs;
   // Hand the shared handle to the measurer so batch events and measure.*
   // counters carry the session's lane. Left alone when observability is off
   // so an externally attached handle survives.

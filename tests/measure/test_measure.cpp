@@ -16,7 +16,7 @@ class MeasureTest : public ::testing::Test {
   TargetSpec spec_ = make_target("gpu-pascal");
   TuningTask task_{testing::small_conv_workload(), spec_};
   SimulatedDevice device_{spec_, 99};
-  Measurer measurer_{task_, device_, 3};
+  Measurer measurer_{task_, device_};  // 3 timing repeats
 };
 
 TEST_F(MeasureTest, MeasureReturnsConsistentResult) {
@@ -76,7 +76,9 @@ TEST_F(MeasureTest, AllResultsMatchesCount) {
 }
 
 TEST_F(MeasureTest, RejectsZeroRepeats) {
-  EXPECT_THROW(Measurer(task_, device_, 0), InvalidArgument);
+  MeasureOptions zero_repeats;
+  zero_repeats.repeats = 0;
+  EXPECT_THROW(Measurer(task_, device_, zero_repeats), InvalidArgument);
 }
 
 TEST_F(MeasureTest, PreloadSeedsCacheAndBest) {
@@ -152,13 +154,13 @@ TEST_F(MeasureTest, ParallelBackendMatchesSerialBitwise) {
   const auto configs = task_.space().sample_distinct(48, rng);
 
   SimulatedDevice serial_device(spec_, 99);
-  Measurer serial_measurer(task_, serial_device, 3);
+  Measurer serial_measurer(task_, serial_device);
   SerialBackend serial;
   const auto serial_results = serial_measurer.measure_batch(configs, serial);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     SimulatedDevice parallel_device(spec_, 99);
-    Measurer parallel_measurer(task_, parallel_device, 3);
+    Measurer parallel_measurer(task_, parallel_device);
     ParallelBackend parallel(threads);
     const auto parallel_results =
         parallel_measurer.measure_batch(configs, parallel);
@@ -193,7 +195,7 @@ TEST_F(MeasureTest, ResumeThenMeasureEqualsFreshMeasure) {
 
   // Fresh run over both halves.
   SimulatedDevice fresh_device(spec_, 321);
-  Measurer fresh(task_, fresh_device, 3);
+  Measurer fresh(task_, fresh_device);
   fresh.measure_batch(first_half);
   const auto fresh_second = fresh.measure_batch(second_half);
 
@@ -205,7 +207,7 @@ TEST_F(MeasureTest, ResumeThenMeasureEqualsFreshMeasure) {
                                    r.mean_time_us, ""});
   }
   SimulatedDevice resumed_device(spec_, 321);
-  Measurer resumed(task_, resumed_device, 3);
+  Measurer resumed(task_, resumed_device);
   EXPECT_EQ(resumed.preload(records), first_half.size());
   const auto resumed_second = resumed.measure_batch(second_half);
 

@@ -267,7 +267,7 @@ TEST_F(ModelPipeline, CancelDuringATaskLeavesTheStagedNextTaskUnrun) {
   MemoryTraceSink sink;
   ModelTuneOptions options = pipeline_options(sink);
   std::atomic<bool> cancel{false};
-  options.cancel = &cancel;
+  options.tune.cancel = &cancel;
   std::mutex mutex;
   std::vector<std::uint64_t> prepared;
   ProbeTuner::Hooks hooks;
@@ -297,6 +297,58 @@ TEST_F(ModelPipeline, CancelDuringATaskLeavesTheStagedNextTaskUnrun) {
   EXPECT_TRUE(report.tasks[2].result.history.empty());
   EXPECT_FALSE(report.tasks[2].result.best.has_value());
   EXPECT_EQ(sink.to_jsonl().find(report.tasks[2].task_key), std::string::npos);
+}
+
+/// Runs every item in order on the calling thread and counts them.
+class CountingBackend final : public MeasureBackend {
+ public:
+  const char* name() const override { return "counting"; }
+  void dispatch(std::size_t n,
+                const std::function<void(std::size_t)>& fn) override {
+    items_.fetch_add(n);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+  std::int64_t items() const { return static_cast<std::int64_t>(items_); }
+
+ private:
+  std::atomic<std::size_t> items_{0};
+};
+
+TEST_F(ModelPipeline, MeasureBackendCarriesEveryTasksBatches) {
+  const Graph g = testing::tiny_cnn();
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE(jobs);
+    MemoryTraceSink plain_sink, counted_sink;
+    ModelTuneOptions plain_options = pipeline_options(plain_sink);
+    plain_options.jobs = jobs;
+    // jobs=1 takes the pipelined serial path; without transfer each task is
+    // a lane of its own, so jobs=3 runs the tasks in parallel lanes.
+    plain_options.use_transfer = jobs == 1;
+    ModelTuneOptions counted_options = plain_options;
+    counted_options.trace = &counted_sink;
+    CountingBackend backend;
+    counted_options.measure_backend = &backend;
+
+    const ModelTuneReport plain =
+        tune_model(g, spec_, bted_bao_tuner_factory(), plain_options);
+    const ModelTuneReport counted =
+        tune_model(g, spec_, bted_bao_tuner_factory(), counted_options);
+
+    EXPECT_GT(counted.total_measured(), 0);
+    EXPECT_EQ(backend.items(), counted.total_measured());
+    ASSERT_FALSE(plain_sink.to_jsonl().empty());
+    EXPECT_EQ(counted_sink.to_jsonl(), plain_sink.to_jsonl());
+    ASSERT_EQ(counted.tasks.size(), plain.tasks.size());
+    for (std::size_t i = 0; i < plain.tasks.size(); ++i) {
+      const TuneResult& a = counted.tasks[i].result;
+      const TuneResult& b = plain.tasks[i].result;
+      ASSERT_EQ(a.history.size(), b.history.size());
+      for (std::size_t j = 0; j < a.history.size(); ++j) {
+        EXPECT_EQ(a.history[j].flat, b.history[j].flat);
+        EXPECT_EQ(a.history[j].gflops, b.history[j].gflops);
+      }
+    }
+  }
 }
 
 TEST_F(ModelPipeline, StagingFailureSurfacesAtItsTasksTurn) {

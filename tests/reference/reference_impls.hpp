@@ -132,6 +132,16 @@ inline std::vector<std::size_t> ted_select(std::vector<std::vector<double>> x,
 // TED kernel build (core/ted.cpp and dense::pairwise_sq_dist before the
 // register-blocked pairwise loop and the radix-select median)
 
+/// Squared Euclidean distance, accumulated in index order.
+inline double sq_dist(const double* a, const double* b, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
+  }
+  return acc;
+}
+
 /// Scalar pairwise squared distances: per-pair (a[c]-b[c])^2 accumulation
 /// (dense::pairwise_sq_dist's oracle and bench baseline).
 inline void pairwise_sq_dist_naive(const dense::Matrix& x,
@@ -140,7 +150,7 @@ inline void pairwise_sq_dist_naive(const dense::Matrix& x,
   out.assign(n * n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = dense::sq_dist(x.row(i), x.row(j), x.cols);
+      const double d = sq_dist(x.row(i), x.row(j), x.cols);
       out[i * n + j] = d;
       out[j * n + i] = d;
     }
